@@ -26,14 +26,12 @@ from .abstraction import (
 from .core import (
     Guard,
     MealyMachine,
-    Rational,
     TICK,
     TimedMachine,
     TimedState,
     TimedWord,
     Timeout,
     Transition,
-    guard_contains,
     guards_disjoint,
     validate_fsm,
     validate_tfsm,
@@ -83,7 +81,6 @@ __all__ = [
     "MealyRun",
     "OUTPUT_MISMATCH",
     "ParseError",
-    "Rational",
     "RunResult",
     "TICK",
     "TimeProgressReport",
@@ -105,7 +102,6 @@ __all__ = [
     "equivalent",
     "export_dot",
     "export_timed_automaton",
-    "guard_contains",
     "guards_disjoint",
     "interval_of",
     "interval_set",

@@ -28,6 +28,7 @@ from functools import total_ordering
 from math import floor
 
 from .core import MealyMachine, TimedMachine, TICK
+from .semantics import tick_encode_delay
 
 _KINDS = ("point", "open", "tail")
 
@@ -180,14 +181,20 @@ def tick_successor(machine: TimedMachine, n_max: int, state: str, interval: Cloc
 
 
 def input_moves(machine: TimedMachine, state: str, interval: ClockInterval):
-    """The guarded moves enabled on the whole interval, as (input, output, target)."""
+    """The guarded moves enabled on the whole interval, as (input, output, target).
+
+    Moves come in transition order, one per input at most: each is looked
+    up in the machine's guard index, so the machine must pass
+    :func:`~tfsm.core.validate_tfsm`.
+    """
     if not admissible(machine, state, interval):
         return []
-    x = interval.representative()
+    region = tick_encode_delay(interval.representative())
     moves = []
-    for t in machine.transitions:
-        if t.source == state and t.guard.contains(x):
-            moves.append((t.input, t.output, t.target))
+    for i in machine.guard_index().get(state, ()):
+        t = machine.enabled(state, i, region)
+        if t is not None:
+            moves.append((i, t.output, t.target))
     return moves
 
 
@@ -197,6 +204,8 @@ def abstract(machine: TimedMachine, keep_unreachable: bool = False) -> MealyMach
     By default only configurations reachable from (initial, [0,0]) become
     states.  With ``keep_unreachable`` every (state, interval) pair is kept,
     the inadmissible ones as dead states with no outgoing transitions.
+    The machine must pass :func:`~tfsm.core.validate_tfsm`, since guards
+    are looked up as in :func:`input_moves`.
     """
     n_max = max_constant(machine)
     intervals = interval_set(n_max)
@@ -328,11 +337,16 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
         (state, interval), r = pair
         return (state, interval.sort_key, r)
 
+    fsm_states = set(fsm.states)
+    edges_by_source = {}
+    for (source, i), edge in sorted(fsm.transitions.items()):
+        edges_by_source.setdefault(source, []).append((i, edge))
+
     for pair in sorted(relation.pairs, key=pair_key):
         (state, interval), r = pair
         if state not in machine.timeouts:
             return BisimCheck(False, None, pair, f"unknown timed state {state!r} in relation")
-        if r not in fsm.states:
+        if r not in fsm_states:
             return BisimCheck(False, None, pair, f"unknown untimed state {r!r} in relation")
 
         timed_tick = tick_successor(machine, n_max, state, interval)
@@ -390,9 +404,7 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
                 )
 
         # 4: every input/output transition needs a matching guarded move.
-        for (source, i), (o, r2) in sorted(fsm.transitions.items()):
-            if source != r:
-                continue
+        for i, (o, r2) in edges_by_source.get(r, ()):
             if i == TICK:
                 if o != TICK:
                     return BisimCheck(

@@ -9,7 +9,7 @@ machine jumps to the timeout target and the clock resets to zero.
 All time values (clock readings, timestamps, delays) are exact rationals;
 no floating point is involved in any time comparison.  ``fractions.Fraction``
 provides exactly the arithmetic needed, so it is used directly as the time
-type under the alias :data:`Rational`.
+type.
 
 Construction-time ``ValueError`` is reserved for values that make no sense at
 all (an empty guard, a timeout bound of zero, a decreasing timed word).
@@ -18,12 +18,10 @@ fitting below timeouts -- is checked by :func:`validate_tfsm`, which returns
 violations as data so that broken machines can be inspected and reported.
 """
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
-
-#: Exact time values.  Fractions are always in lowest terms with positive
-#: denominator, and comparison, arithmetic, floor and ceiling are exact.
-Rational = Fraction
+from math import inf
 
 #: The reserved tick symbol of untimed machines, standing for the passage of
 #: half a time unit.  It is spelled the same way in machine files, and it is
@@ -78,11 +76,6 @@ class Guard:
             return f"{left}{self.lower},inf)"
         right = "]" if self.upper_closed else ")"
         return f"{left}{self.lower},{self.upper}{right}"
-
-
-def guard_contains(guard: Guard, x) -> bool:
-    """True iff the rational ``x`` lies inside ``guard``."""
-    return guard.contains(x)
 
 
 def guards_disjoint(g1: Guard, g2: Guard) -> bool:
@@ -201,6 +194,46 @@ class TimedMachine:
 
     def transitions_from(self, state: str) -> tuple[Transition, ...]:
         return tuple(t for t in self.transitions if t.source == state)
+
+    def guard_index(self) -> dict:
+        """The guards of each (state, input) as clock-region ranges, built on first use.
+
+        Region ``2n`` is the clock value ``n`` and region ``2n + 1`` the
+        open interval (n,n+1), the numbering of
+        :func:`tfsm.semantics.tick_encode_delay`.  ``index[state][input]``
+        is ``(starts, ends, transitions)`` in transition order: the k-th
+        guard covers regions ``starts[k]`` to ``ends[k]`` inclusive, and
+        ``ends[k]`` is ``inf`` for a guard unbounded above.
+        """
+        try:
+            return self._guard_index
+        except AttributeError:
+            pass
+        index = {}
+        for t in self.transitions:
+            g = t.guard
+            starts, ends, group = index.setdefault(t.source, {}).setdefault(t.input, ([], [], []))
+            starts.append(2 * g.lower + (not g.lower_closed))
+            ends.append(inf if g.upper is None else 2 * g.upper - (not g.upper_closed))
+            group.append(t)
+        object.__setattr__(self, "_guard_index", index)
+        return index
+
+    def enabled(self, state: str, symbol: str, region: int) -> "Transition | None":
+        """The transition on ``symbol`` whose guard covers clock region ``region``.
+
+        Found by bisection in :meth:`guard_index`.  The answer is the one
+        enabled transition only for a machine that passes
+        :func:`validate_tfsm`, whose guards per (state, input) are disjoint.
+        """
+        entry = self.guard_index().get(state, {}).get(symbol)
+        if entry is None:
+            return None
+        starts, ends, group = entry
+        k = bisect_right(starts, region) - 1
+        if k >= 0 and region <= ends[k]:
+            return group[k]
+        return None
 
 
 @dataclass(frozen=True)
@@ -367,11 +400,14 @@ def validate_tfsm(machine: TimedMachine) -> list[str]:
     for (s, i), group in groups.items():
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
-                if not guards_disjoint(group[a].guard, group[b].guard):
-                    problems.append(
-                        f"nondeterministic: guards {group[a].guard} and {group[b].guard} "
-                        f"overlap on input {i} at state {s}"
-                    )
+                # The group is sorted by lower end, so once group[b] starts
+                # past the end of group[a], every later guard does too.
+                if guards_disjoint(group[a].guard, group[b].guard):
+                    break
+                problems.append(
+                    f"nondeterministic: guards {group[a].guard} and {group[b].guard} "
+                    f"overlap on input {i} at state {s}"
+                )
 
     # Every guard must lie strictly below its source state's timeout bound.
     for t in machine.transitions:

@@ -100,20 +100,20 @@ def refine(fsm: MealyMachine, merge: bool = True) -> TimedMachine:
         if i != TICK and o == TICK:
             raise ValueError(f"input {i} at state {s} outputs the tick symbol; cannot be a guarded move")
 
-    refined = {s: _refine_state(fsm, s) for s in fsm.states}
-
-    reachable = {fsm.initial}
+    # Only states reachable in the result are walked: each is refined when
+    # a refined transition or timeout first reaches it.
+    refined = {fsm.initial: _refine_state(fsm, fsm.initial)}
     queue = [fsm.initial]
     while queue:
         s = queue.pop(0)
         transitions, timeout = refined[s]
         targets = [t.target for t in transitions] + [timeout.target]
         for target in targets:
-            if target is not None and target not in reachable:
-                reachable.add(target)
+            if target is not None and target not in refined:
+                refined[target] = _refine_state(fsm, target)
                 queue.append(target)
 
-    states = tuple(s for s in fsm.states if s in reachable)
+    states = tuple(s for s in fsm.states if s in refined)
     machine = TimedMachine(
         states=states,
         inputs=fsm.user_inputs,

@@ -17,9 +17,8 @@ abstraction.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 
-from .core import MealyMachine, Rational, TimedMachine, TimedState, TimedWord, TICK
+from .core import MealyMachine, TimedMachine, TimedState, TimedWord, TICK
 
 
 @dataclass(frozen=True)
@@ -67,11 +66,14 @@ def step(machine: TimedMachine, config: TimedState, symbol: str):
 
     Returns ``(output, next_config)`` for the unique enabled transition,
     or ``None`` if no guard admits the clock value (input undefined here).
+    The guard is found by bisection over the machine's guard index, so the
+    machine must pass :func:`~tfsm.core.validate_tfsm`: with overlapping
+    guards the one found need not be the first that admits the clock.
     """
-    for t in machine.transitions:
-        if t.source == config.state and t.input == symbol and t.guard.contains(config.clock):
-            return t.output, TimedState(t.target, Fraction(0))
-    return None
+    t = machine.enabled(config.state, symbol, tick_encode_delay(config.clock))
+    if t is None:
+        return None
+    return t.output, TimedState(t.target, Fraction(0))
 
 
 def run(machine: TimedMachine, word: TimedWord) -> RunResult:
@@ -106,11 +108,10 @@ def mealy_run(machine: MealyMachine, symbols) -> MealyRun:
 def tick_encode_delay(t) -> int:
     """Number of ticks encoding a delay: ``2t`` if integral, else ``2*floor(t) + 1``."""
     t = Fraction(t)
-    if t < 0:
+    n, d = t.numerator, t.denominator
+    if n < 0:
         raise ValueError(f"cannot encode negative delay {t}")
-    if t.denominator == 1:
-        return 2 * int(t)
-    return 2 * floor(t) + 1
+    return 2 * (n // d) + (d != 1)
 
 
 def tick_encode_word(word: TimedWord) -> tuple[str, ...]:

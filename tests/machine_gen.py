@@ -68,6 +68,17 @@ def random_tfsm(rng: random.Random, max_states=5, max_inputs=2, max_constant=4,
     return TimedMachine(states, inputs, outputs, states[0], tuple(transitions), timeouts)
 
 
+_POOL = []
+
+
+def machine_pool():
+    """500 seeded random timed machines, shared by the property suites."""
+    if not _POOL:
+        rng = random.Random(602214076)
+        _POOL.extend(random_tfsm(rng) for _ in range(500))
+    return _POOL
+
+
 def random_timed_word(rng: random.Random, inputs, max_length=6, max_denominator=3) -> TimedWord:
     """A timed word over ``inputs`` with rational delays of small denominator."""
     entries = []

@@ -41,6 +41,7 @@ from tfsm import (
 from conftest import MACHINES
 from machine_gen import (
     conjunction_agrees,
+    machine_pool,
     random_tfsm,
     random_time_progressive_fsm,
     random_timed_word,
@@ -54,17 +55,6 @@ def budget(seconds):
     yield
     elapsed = time.perf_counter() - start
     assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
-
-
-_POOL = []
-
-
-def machine_pool():
-    """500 seeded random timed machines, shared by the property suites."""
-    if not _POOL:
-        rng = random.Random(602214076)
-        _POOL.extend(random_tfsm(rng) for _ in range(500))
-    return _POOL
 
 
 def behavior(machine, word):
@@ -260,25 +250,26 @@ def test_equivalence_against_brute_force():
 
 @pytest.mark.criterion(10, "checker accepts canonical relations, rejects every perturbation")
 def test_bisimulation_checker_against_perturbations():
-    pool = machine_pool()
-    rejected = 0
-    for machine in pool:
-        fsm = abstract(machine)
-        relation = canonical_bisimulation(machine, fsm)
-        assert check_bisimulation(machine, fsm, relation).ok
-        base = relation.pairs
-        for pair in base:
-            dropped = base - {pair}
-            assert not check_bisimulation(machine, fsm, BisimRelation(dropped)).ok
-            rejected += 1
-            config, matched = pair
-            for other in fsm.states:
-                if other == matched:
-                    continue
-                redirected = dropped | {(config, other)}
-                assert not check_bisimulation(machine, fsm, BisimRelation(redirected)).ok
+    with budget(120):
+        pool = machine_pool()
+        rejected = 0
+        for machine in pool:
+            fsm = abstract(machine)
+            relation = canonical_bisimulation(machine, fsm)
+            assert check_bisimulation(machine, fsm, relation).ok
+            base = relation.pairs
+            for pair in base:
+                dropped = base - {pair}
+                assert not check_bisimulation(machine, fsm, BisimRelation(dropped)).ok
                 rejected += 1
-    assert rejected > len(pool)
+                config, matched = pair
+                for other in fsm.states:
+                    if other == matched:
+                        continue
+                    redirected = dropped | {(config, other)}
+                    assert not check_bisimulation(machine, fsm, BisimRelation(redirected)).ok
+                    rejected += 1
+        assert rejected > len(pool)
 
 
 @pytest.mark.criterion(11, "parse/serialize identity on the corpus and 500 random machines")

@@ -15,7 +15,6 @@ from tfsm import (
     TimedWord,
     Timeout,
     Transition,
-    guard_contains,
     guards_disjoint,
     validate_fsm,
     validate_tfsm,
@@ -46,7 +45,7 @@ class TestGuard:
         assert g.contains(Fraction(3, 2))
         assert g.contains(3)
         assert not g.contains(Fraction(7, 2))
-        assert guard_contains(g, 2)
+        assert g.contains(2)
 
     def test_unbounded_guard(self):
         g = Guard(2, None, True, False)
@@ -161,6 +160,18 @@ class TestTimedMachine:
             Transition("p", "i", Guard(2, 3, True, False), "o", "p"),
         ))
         assert any("overlap" in p for p in validate_tfsm(m))
+
+    def test_validate_reports_each_overlapping_pair_once_in_order(self):
+        """Three mutually overlapping guards and one apart: three messages, pair by pair."""
+        m = _tiny(tuple(
+            Transition("p", "i", g, "o", "q")
+            for g in (Guard(6, 7, True, True), Guard(2, 5, True, True),
+                      Guard(1, 2, True, True), Guard(0, 3, True, True))
+        ))
+        assert validate_tfsm(m) == [
+            f"nondeterministic: guards {a} and {b} overlap on input i at state p"
+            for a, b in (("[0,3]", "[1,2]"), ("[0,3]", "[2,5]"), ("[1,2]", "[2,5]"))
+        ]
 
     def test_validate_reports_guard_at_or_past_timeout(self):
         # [0,2] admits clock 2, but the timeout fires at 2.
