@@ -22,6 +22,7 @@ synchronized search, and :func:`check_bisimulation` verifies an arbitrary
 relation, reporting which of the four matching conditions breaks first.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -220,30 +221,27 @@ def abstract(machine: TimedMachine, keep_unreachable: bool = False) -> MealyMach
             out.append((i, o, (target, point0)))
         return out
 
-    transitions = {}
+    start = (machine.initial, point0)
     if keep_unreachable:
         configs = [(s, interval) for s in machine.states for interval in intervals]
-        for s, interval in configs:
-            for i, o, succ in edges_from(s, interval):
-                transitions[(abstract_state_name(s, interval), i)] = (o, abstract_state_name(*succ))
     else:
-        start = (machine.initial, point0)
         configs = [start]
-        seen = {start}
-        queue = [start]
-        while queue:
-            s, interval = queue.pop(0)
-            for i, o, succ in edges_from(s, interval):
-                transitions[(abstract_state_name(s, interval), i)] = (o, abstract_state_name(*succ))
-                if succ not in seen:
-                    seen.add(succ)
-                    configs.append(succ)
-                    queue.append(succ)
+    names = {config: abstract_state_name(*config) for config in configs}
+    queue = deque(configs)
+    transitions = {}
+    while queue:
+        config = queue.popleft()
+        source = names[config]
+        for i, o, succ in edges_from(*config):
+            if succ not in names:
+                names[succ] = abstract_state_name(*succ)
+                queue.append(succ)
+            transitions[(source, i)] = (o, names[succ])
     return MealyMachine(
-        states=tuple(abstract_state_name(s, interval) for s, interval in configs),
+        states=tuple(names.values()),
         inputs=machine.inputs + (TICK,),
         outputs=machine.outputs + (TICK,),
-        initial=abstract_state_name(machine.initial, point0),
+        initial=names[start],
         transitions=transitions,
     )
 
@@ -299,9 +297,9 @@ def canonical_bisimulation(machine: TimedMachine, fsm: MealyMachine) -> BisimRel
     point0 = ClockInterval.point(0)
     start = ((machine.initial, point0), fsm.initial)
     pairs = {start}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        (state, interval), r = queue.pop(0)
+        (state, interval), r = queue.popleft()
         successors = []
         tick = tick_successor(machine, n_max, state, interval)
         tick_edge = fsm.transitions.get((r, TICK))

@@ -66,22 +66,24 @@ class MachineDocument:
     body: TimedMachine | MealyMachine
 
 
-def _token_lines(text: str):
-    """Non-empty lines as (lineno, [(token, column), ...]), comments stripped."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
-        if tokens:
-            out.append((lineno, tokens))
-    return out
+_TOKEN_RE = re.compile(r"\S+")
 
 
 class _Reader:
+    """A document's non-empty lines as (lineno, [(token, column), ...]), comments stripped.
+
+    The text is tokenized once; each parser reads the lines from here.
+    """
+
     def __init__(self, text: str):
-        self.lines = _token_lines(text)
+        raw_lines = text.splitlines()
+        self.lines = []
+        for lineno, raw in enumerate(raw_lines, start=1):
+            tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
+            if tokens:
+                self.lines.append((lineno, tokens))
         self.pos = 0
-        self.end_line = max(1, len(text.splitlines()))
+        self.end_line = max(1, len(raw_lines))
 
     def peek(self):
         return self.lines[self.pos] if self.pos < len(self.lines) else None
@@ -152,7 +154,10 @@ def _parse_header(reader: _Reader, kind: str, tick_in_alphabets: bool):
 
 def parse_tfsm(text: str) -> MachineDocument:
     """Parse a ``tfsm`` document; raises :class:`ParseError` on bad syntax."""
-    reader = _Reader(text)
+    return _parse_tfsm(_Reader(text))
+
+
+def _parse_tfsm(reader: _Reader) -> MachineDocument:
     name, inputs, outputs, states, initial = _parse_header(reader, "tfsm", tick_in_alphabets=False)
     timeouts: dict[str, Timeout] = {}
     transitions: list[Transition] = []
@@ -200,7 +205,10 @@ def parse_tfsm(text: str) -> MachineDocument:
 
 def parse_fsm(text: str) -> MachineDocument:
     """Parse an ``fsm`` document; raises :class:`ParseError` on bad syntax."""
-    reader = _Reader(text)
+    return _parse_fsm(_Reader(text))
+
+
+def _parse_fsm(reader: _Reader) -> MachineDocument:
     name, inputs, outputs, states, initial = _parse_header(reader, "fsm", tick_in_alphabets=True)
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
     while reader.peek() is not None:
@@ -230,15 +238,17 @@ def parse_fsm(text: str) -> MachineDocument:
 
 def parse_document(text: str) -> MachineDocument:
     """Parse either kind of machine file, dispatching on the leading keyword."""
-    lines = _token_lines(text)
-    if not lines:
+    reader = _Reader(text)
+    first = reader.peek()
+    if first is None:
         raise ParseError("empty document: expected 'tfsm' or 'fsm'", 1, 1)
-    keyword = lines[0][1][0][0]
+    lineno, tokens = first
+    keyword = tokens[0][0]
     if keyword == "tfsm":
-        return parse_tfsm(text)
+        return _parse_tfsm(reader)
     if keyword == "fsm":
-        return parse_fsm(text)
-    raise ParseError(f"expected 'tfsm' or 'fsm', found {keyword!r}", lines[0][0], lines[0][1][0][1])
+        return _parse_fsm(reader)
+    raise ParseError(f"expected 'tfsm' or 'fsm', found {keyword!r}", lineno, tokens[0][1])
 
 
 def serialize(machine: TimedMachine | MealyMachine, name: str = "machine") -> str:

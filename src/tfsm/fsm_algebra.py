@@ -7,10 +7,13 @@ when it is defined in the other, with identical outputs along the way.  The
 product (intersection) keeps a move exactly when both machines make it with
 the same output, so its behavior is the largest common behavior of the two.
 
-Everything below is plain breadth-first search over state pairs, which
-keeps counterexamples shortest and state numbering stable.
+Equivalence, product and reachability are breadth-first searches, which
+keep counterexamples shortest and state numbering stable.  Minimization is
+Hopcroft's n log n partition refinement; its classes keep the names and
+the order of their first members.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from .core import MealyMachine
@@ -53,9 +56,9 @@ def equivalent(a: MealyMachine, b: MealyMachine) -> EquivalenceVerdict:
     inputs = _input_order(a, b)
     start = (a.initial, b.initial)
     prefixes = {start: ()}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        pair = queue.pop(0)
+        pair = queue.popleft()
         sa, sb = pair
         prefix = prefixes[pair]
         for i in inputs:
@@ -102,9 +105,9 @@ def product(a: MealyMachine, b: MealyMachine, renumber: bool = True) -> MealyMac
     order = [start]
     seen = {start}
     edges = {}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        pair = queue.pop(0)
+        pair = queue.popleft()
         sa, sb = pair
         for i in a.inputs:
             ea = a.transitions.get((sa, i))
@@ -134,9 +137,9 @@ def product(a: MealyMachine, b: MealyMachine, renumber: bool = True) -> MealyMac
 def reachable(fsm: MealyMachine) -> MealyMachine:
     """Restrict to the states reachable from the initial state."""
     seen = {fsm.initial}
-    queue = [fsm.initial]
+    queue = deque([fsm.initial])
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         for i in fsm.inputs:
             edge = fsm.transitions.get((s, i))
             if edge is not None and edge[1] not in seen:
@@ -156,46 +159,72 @@ def minimize(fsm: MealyMachine) -> MealyMachine:
     """The smallest machine equivalent to ``fsm``.
 
     Unreachable states are dropped, then equivalent states are merged by
-    partition refinement.  Undefinedness separates states just like a
-    differing output does.  Each class is named after its first member in
-    declaration order.
+    Hopcroft's partition refinement ("An n log n algorithm for minimizing
+    states in a finite automaton", 1971).  Undefinedness separates states
+    just like a differing output does.  Each class is named after its first
+    member in declaration order, and the classes keep that order.
     """
     fsm = reachable(fsm)
-    block = {s: 0 for s in fsm.states}
-    while True:
-        signatures = {}
-        for s in fsm.states:
-            sig = [block[s]]
-            for i in fsm.inputs:
-                edge = fsm.transitions.get((s, i))
-                sig.append(None if edge is None else (edge[0], block[edge[1]]))
-            signatures[s] = tuple(sig)
-        relabel = {}
-        new_block = {}
-        for s in fsm.states:
-            sig = signatures[s]
-            if sig not in relabel:
-                relabel[sig] = len(relabel)
-            new_block[s] = relabel[sig]
-        if new_block == block:
-            break
-        block = new_block
+    inputs = fsm.inputs
+    # Start from the output signature: per input, undefined or the output given.
+    by_signature = {}
+    predecessors = {i: {} for i in inputs}
+    for s in fsm.states:
+        signature = []
+        for i in inputs:
+            edge = fsm.transitions.get((s, i))
+            signature.append(edge and edge[0])
+            if edge is not None:
+                predecessors[i].setdefault(edge[1], []).append(s)
+        by_signature.setdefault(tuple(signature), set()).add(s)
+    blocks = sorted(by_signature.values(), key=len, reverse=True)
+    block_of = {s: b for b, members in enumerate(blocks) for s in members}
+
+    # A splitter (block, input) separates the states whose move on the
+    # input enters the block from those whose move leaves it.  Every block
+    # is all defined or all undefined on each input, so the whole state set
+    # splits nothing, and any one block can be left out of the first
+    # splitters: the largest, block 0.
+    waiting = [(b, i) for b in range(1, len(blocks)) for i in inputs]
+    pending = set(waiting)
+    while waiting:
+        splitter = waiting.pop()
+        pending.remove(splitter)
+        b, i = splitter
+        into = predecessors[i]
+        hit = {}
+        for t in blocks[b]:
+            for s in into.get(t, ()):
+                hit.setdefault(block_of[s], []).append(s)
+        for c, moved in hit.items():
+            rest = blocks[c]
+            if len(moved) == len(rest):
+                continue
+            rest.difference_update(moved)
+            new = len(blocks)
+            blocks.append(set(moved))
+            for s in moved:
+                block_of[s] = new
+            # Once (c, a) is stable, refining by either half suffices: take the smaller.
+            for a in inputs:
+                half = (c, a) if (c, a) not in pending and len(rest) < len(moved) else (new, a)
+                pending.add(half)
+                waiting.append(half)
 
     representative = {}
     for s in fsm.states:
-        representative.setdefault(block[s], s)
-    states = tuple(representative[b] for b in sorted(representative, key=lambda b: fsm.states.index(representative[b])))
+        representative.setdefault(block_of[s], s)
     transitions = {}
-    for s in states:
-        for i in fsm.inputs:
+    for s in representative.values():
+        for i in inputs:
             edge = fsm.transitions.get((s, i))
             if edge is not None:
-                transitions[(s, i)] = (edge[0], representative[block[edge[1]]])
+                transitions[(s, i)] = (edge[0], representative[block_of[edge[1]]])
     return MealyMachine(
-        states=states,
-        inputs=fsm.inputs,
+        states=tuple(representative.values()),
+        inputs=inputs,
         outputs=fsm.outputs,
-        initial=representative[block[fsm.initial]],
+        initial=representative[block_of[fsm.initial]],
         transitions=transitions,
     )
 
@@ -210,9 +239,9 @@ def canonical_fsm(fsm: MealyMachine) -> MealyMachine:
     inputs = tuple(sorted(fsm.inputs))
     names = {fsm.initial: "0"}
     order = [fsm.initial]
-    queue = [fsm.initial]
+    queue = deque([fsm.initial])
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         for i in inputs:
             edge = fsm.transitions.get((s, i))
             if edge is not None and edge[1] not in names:

@@ -9,6 +9,7 @@ timed word -- each maximal block of ticks stands for half its length in
 time units -- and is confirmed by actually running both timed machines.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,9 +105,9 @@ def canonical_tfsm(machine: TimedMachine) -> TimedMachine:
     """
     names = {machine.initial: "0"}
     order = [machine.initial]
-    queue = [machine.initial]
+    queue = deque([machine.initial])
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         targets = [
             t.target
             for t in sorted(machine.transitions_from(s), key=lambda t: (t.input, _guard_sort_key(t.guard)))

@@ -20,6 +20,7 @@ pass, i.e. carry a tick transition that outputs the tick.  States violating
 that are reported by :func:`is_time_progressive`.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from .core import Guard, MealyMachine, TimedMachine, Timeout, Transition, TICK
@@ -103,9 +104,9 @@ def refine(fsm: MealyMachine, merge: bool = True) -> TimedMachine:
     # Only states reachable in the result are walked: each is refined when
     # a refined transition or timeout first reaches it.
     refined = {fsm.initial: _refine_state(fsm, fsm.initial)}
-    queue = [fsm.initial]
+    queue = deque([fsm.initial])
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         transitions, timeout = refined[s]
         targets = [t.target for t in transitions] + [timeout.target]
         for target in targets:

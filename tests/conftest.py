@@ -1,10 +1,12 @@
-"""Shared fixtures: the machines/ corpus and acceptance reporting.
+"""Shared fixtures: the machines/ corpus, runtime budgets and acceptance reporting.
 
 Tests marked ``@pytest.mark.criterion(n, "...")`` get one PASS/FAIL line
 each in a terminal summary section, so the acceptance status is readable
 at a glance after a full run.
 """
 
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,14 @@ _RECORDS = []
 
 def load_document(name: str) -> MachineDocument:
     return parse_document((MACHINES / name).read_text())
+
+
+@contextmanager
+def budget(seconds):
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
 
 
 def pytest_configure(config):

@@ -6,8 +6,6 @@ of the guarantee and asserted alongside the content.
 """
 
 import random
-import time
-from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -38,7 +36,7 @@ from tfsm import (
     tick_encode_delay,
     validate_tfsm,
 )
-from conftest import MACHINES
+from conftest import MACHINES, budget
 from machine_gen import (
     conjunction_agrees,
     machine_pool,
@@ -47,14 +45,6 @@ from machine_gen import (
     random_timed_word,
     ticks_agree,
 )
-
-
-@contextmanager
-def budget(seconds):
-    start = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - start
-    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
 
 
 def behavior(machine, word):

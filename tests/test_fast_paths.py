@@ -1,10 +1,11 @@
-"""Guard lookups and on-demand refinement against the code they replaced.
+"""Guard lookups, on-demand refinement and minimization against the code they replaced.
 
 ``step`` and ``input_moves`` find a guard by bisection in the machine's
-index of clock regions, and ``refine`` walks only the states its result
-reaches.  The functions below are the earlier linear guard scans and the
-eager refinement loop, kept as references: the fast paths must return
-equal results, in equal order.
+index of clock regions, ``refine`` walks only the states its result
+reaches, and ``minimize`` refines partitions by Hopcroft's algorithm.  The
+functions below are the earlier linear guard scans, the eager refinement
+loop and the Moore-round minimization, kept as references: the fast paths
+must return equal results, in equal order.
 """
 
 import random
@@ -14,19 +15,23 @@ import pytest
 
 from tfsm import (
     TICK,
+    MealyMachine,
     TimedMachine,
     TimedState,
     abstract,
     interval_set,
     max_constant,
     merge_guards,
+    minimize,
     product,
     refine,
     step,
 )
 from tfsm.abstraction import admissible, input_moves
+from tfsm.fsm_algebra import reachable
 from tfsm.refinement import _refine_state, is_time_progressive
-from machine_gen import machine_pool, random_tfsm
+from conftest import budget
+from machine_gen import machine_pool, random_tfsm, random_time_progressive_fsm
 
 
 def scan_step(machine, config, symbol):
@@ -84,6 +89,55 @@ def eager_refine(fsm, merge=True):
     return merge_guards(machine) if merge else machine
 
 
+def moore_minimize(fsm):
+    """``minimize`` by Moore rounds: re-split every block by its successors' blocks until stable."""
+    fsm = reachable(fsm)
+    block = {s: 0 for s in fsm.states}
+    while True:
+        signatures = {}
+        for s in fsm.states:
+            sig = [block[s]]
+            for i in fsm.inputs:
+                edge = fsm.transitions.get((s, i))
+                sig.append(None if edge is None else (edge[0], block[edge[1]]))
+            signatures[s] = tuple(sig)
+        relabel = {}
+        new_block = {}
+        for s in fsm.states:
+            sig = signatures[s]
+            if sig not in relabel:
+                relabel[sig] = len(relabel)
+            new_block[s] = relabel[sig]
+        if new_block == block:
+            break
+        block = new_block
+
+    representative = {}
+    for s in fsm.states:
+        representative.setdefault(block[s], s)
+    states = tuple(representative[b] for b in sorted(representative, key=lambda b: fsm.states.index(representative[b])))
+    transitions = {}
+    for s in states:
+        for i in fsm.inputs:
+            edge = fsm.transitions.get((s, i))
+            if edge is not None:
+                transitions[(s, i)] = (edge[0], representative[block[edge[1]]])
+    return MealyMachine(
+        states=states,
+        inputs=fsm.inputs,
+        outputs=fsm.outputs,
+        initial=representative[block[fsm.initial]],
+        transitions=transitions,
+    )
+
+
+def assert_minimize_matches_moore(fsm):
+    fast, slow = minimize(fsm), moore_minimize(fsm)
+    assert fast == slow, f"{fsm}"
+    assert list(fast.transitions.items()) == list(slow.transitions.items())
+    return len(reachable(fsm).states) - len(fast.states)
+
+
 def clock_values(n, rng):
     """Each integer up to past ``n``, each open-interval midpoint, far past ``n``, and random rationals."""
     values = [Fraction(k) for k in range(n + 3)]
@@ -138,3 +192,44 @@ def test_refine_matches_the_eager_loop_on_intersections(merge):
         dropped += len(fsm.states) - len(fast.states)
     # Unreachable product states must occur, or the on-demand walk is not exercised.
     assert dropped > 0
+
+
+@pytest.mark.parametrize("keep_unreachable", [False, True])
+def test_minimize_matches_moore_on_pool_abstractions(keep_unreachable):
+    merged = sum(
+        assert_minimize_matches_moore(abstract(machine, keep_unreachable=keep_unreachable))
+        for machine in machine_pool()
+    )
+    # Reachable states must merge, or the splitting is not exercised.
+    assert merged > 0
+
+
+def test_minimize_matches_moore_on_partial_machines():
+    rng = random.Random(141421)
+    merged = 0
+    for k in range(2000):
+        fsm = random_time_progressive_fsm(rng, max_states=rng.choice((4, 12, 30)))
+        if k % 2:
+            # Drop tick edges too, so that every input is partial.
+            fsm = MealyMachine(
+                fsm.states, fsm.inputs, fsm.outputs, fsm.initial,
+                {key: edge for key, edge in fsm.transitions.items() if key[1] != TICK or rng.random() < 0.5},
+            )
+        merged += assert_minimize_matches_moore(fsm)
+    assert merged > 0
+
+
+def test_minimize_matches_moore_on_the_handover_blinker_product(handover, blinker):
+    assert assert_minimize_matches_moore(product(abstract(handover), abstract(blinker))) > 0
+
+
+def test_minimize_keeps_a_long_tick_chain_in_time():
+    # Each state is one tick further from the only state that reads ``i``,
+    # so nothing merges, and Moore rounds would need one round per state.
+    states = tuple(f"c{k}" for k in range(2000))
+    transitions = {(s, TICK): (TICK, t) for s, t in zip(states, states[1:] + states[-1:])}
+    transitions[(states[-1], "i")] = ("o", states[0])
+    chain = MealyMachine(states, ("i", TICK), ("o", TICK), states[0], transitions)
+    with budget(1):
+        small = minimize(chain)
+    assert small == chain

@@ -200,6 +200,23 @@ class TestDispatch:
         assert "found 'mealy'" in str(err)
         assert (err.line, err.column) == (1, 1)
 
+    def test_errors_are_those_of_the_parser_for_the_kind(self):
+        cases = [
+            (parse_tfsm, "tfsm t\ninputs i\noutputs o\n"),
+            (parse_tfsm, "tfsm t\ninputs i\noutputs o\n# trailing note\n\n"),
+            (parse_tfsm, "  # header\ntfsm t\noutputs o\n"),
+            (parse_tfsm, tfsm_text("timeout A inf", "trans A i [0,1) / o -- A")),
+            (parse_fsm, "fsm t\ninputs i\n"),
+            (parse_fsm, fsm_text("trans a i/o -> a", "   trans a i/o -> a  # again")),
+        ]
+        located = []
+        for parse, text in cases:
+            err, via_document = error_of(parse, text), error_of(parse_document, text)
+            assert (str(via_document), via_document.line, via_document.column) == (str(err), err.line, err.column)
+            located.append((err.line, err.column))
+        # End of file is reported on the last line, comments and blank lines included.
+        assert located[:3] == [(3, 1), (5, 1), (3, 1)]
+
 
 class TestSerialize:
     def test_roundtrip_is_the_identity_on_the_corpus(self):
