@@ -26,7 +26,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import floor
 
 from .core import MealyMachine, TimedMachine, TICK
 from .semantics import tick_encode_delay
@@ -65,14 +64,22 @@ class ClockInterval:
     def tail(cls, n: int) -> "ClockInterval":
         return cls("tail", n)
 
+    @classmethod
+    def of_region(cls, k: int, n_max: int) -> "ClockInterval":
+        """The interval of clock region ``k`` in the partition up to ``n_max``."""
+        if k > 2 * n_max:
+            return cls.tail(n_max)
+        return cls("open" if k % 2 else "point", k // 2)
+
     @property
-    def sort_key(self):
-        return (self.n, 0 if self.kind == "point" else 1)
+    def region(self) -> int:
+        """The clock region: ``2n`` for [n,n], ``2n + 1`` for (n,n+1) and for the tail (n,inf)."""
+        return 2 * self.n + (self.kind != "point")
 
     def __lt__(self, other):
         if not isinstance(other, ClockInterval):
             return NotImplemented
-        return self.sort_key < other.sort_key
+        return self.region < other.region
 
     def representative(self) -> Fraction:
         """A canonical clock value inside the interval."""
@@ -110,16 +117,10 @@ def max_constant(machine: TimedMachine) -> int:
 
 
 def interval_set(n_max: int) -> tuple[ClockInterval, ...]:
-    """The full partition up to ``n_max``: 2*n_max + 2 intervals."""
+    """The full partition up to ``n_max``: 2*n_max + 2 intervals, left to right."""
     if n_max < 0:
         raise ValueError(f"negative partition bound {n_max}")
-    out = []
-    for n in range(n_max):
-        out.append(ClockInterval.point(n))
-        out.append(ClockInterval.open(n))
-    out.append(ClockInterval.point(n_max))
-    out.append(ClockInterval.tail(n_max))
-    return tuple(out)
+    return tuple(ClockInterval.of_region(k, n_max) for k in range(2 * n_max + 2))
 
 
 def interval_of(x, n_max: int) -> ClockInterval:
@@ -127,11 +128,7 @@ def interval_of(x, n_max: int) -> ClockInterval:
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"negative clock value {x}")
-    if x > n_max:
-        return ClockInterval.tail(n_max)
-    if x.denominator == 1:
-        return ClockInterval.point(int(x))
-    return ClockInterval.open(floor(x))
+    return ClockInterval.of_region(tick_encode_delay(x), n_max)
 
 
 def abstract_state_name(state: str, interval: ClockInterval) -> str:
@@ -139,16 +136,54 @@ def abstract_state_name(state: str, interval: ClockInterval) -> str:
     return f"{state},{interval}"
 
 
+def _tick(machine: TimedMachine, top: int, state: str, k: int):
+    """Half a time unit on from (state, region k), or None if inadmissible; ``top`` is the tail."""
+    timeout = machine.timeouts[state]
+    if timeout.bound is None:
+        return (state, min(k + 1, top))
+    if k + 1 < 2 * timeout.bound:
+        return (state, k + 1)
+    if k + 1 == 2 * timeout.bound:
+        return (timeout.target, 0)
+    return None
+
+
+class TickView:
+    """The tick abstraction of a timed machine, computed on demand.
+
+    It reads like the :class:`~tfsm.core.MealyMachine` that :func:`abstract`
+    builds, over configurations ``(state, k)`` with ``k`` the clock region
+    (:attr:`ClockInterval.region`); ``transitions.get`` computes each move.
+    """
+
+    def __init__(self, machine: TimedMachine):
+        self.machine = machine
+        self.n_max = max_constant(machine)
+        self.initial = (machine.initial, 0)
+        self.inputs = machine.inputs + (TICK,)
+        self.outputs = machine.outputs + (TICK,)
+        self.transitions = self
+
+    def get(self, key):
+        (state, k), symbol = key
+        if symbol == TICK:
+            succ = _tick(self.machine, 2 * self.n_max + 1, state, k)
+            return None if succ is None else (TICK, succ)
+        t = self.machine.enabled(state, symbol, k)
+        return None if t is None else (t.output, (t.target, 0))
+
+    def moves(self, config):
+        """``(symbol, (output, successor))`` per move: the tick first, then inputs in guard-index order."""
+        for i in (TICK, *self.machine.guard_index().get(config[0], ())):
+            edge = self.get((config, i))
+            if edge is not None:
+                yield i, edge
+
+
 def admissible(machine: TimedMachine, state: str, interval: ClockInterval) -> bool:
     """True iff every clock value in the interval is below the state's timeout."""
     bound = machine.timeouts[state].bound
-    if bound is None:
-        return True
-    if interval.kind == "point":
-        return interval.n < bound
-    if interval.kind == "open":
-        return interval.n + 1 <= bound
-    return False
+    return bound is None or interval.region < 2 * bound
 
 
 def tick_successor(machine: TimedMachine, n_max: int, state: str, interval: ClockInterval):
@@ -158,27 +193,8 @@ def tick_successor(machine: TimedMachine, n_max: int, state: str, interval: Cloc
     configuration is not admissible (no clock value in the interval is a
     valid configuration of the state).
     """
-    bound = machine.timeouts[state].bound
-    if interval.kind == "point":
-        n = interval.n
-        if n < n_max:
-            if bound is None or n + 1 <= bound:
-                return (state, ClockInterval.open(n))
-            return None
-        # At the largest constant the only admissible way onward is the tail.
-        if bound is None:
-            return (state, ClockInterval.tail(n_max))
-        return None
-    if interval.kind == "open":
-        n = interval.n
-        if bound is None or bound > n + 1:
-            return (state, ClockInterval.point(n + 1))
-        if bound == n + 1:
-            return (machine.timeouts[state].target, ClockInterval.point(0))
-        return None
-    if bound is None:
-        return (state, interval)
-    return None
+    succ = _tick(machine, 2 * n_max + 1, state, interval.region)
+    return None if succ is None else (succ[0], ClockInterval.of_region(succ[1], n_max))
 
 
 def input_moves(machine: TimedMachine, state: str, interval: ClockInterval):
@@ -186,14 +202,12 @@ def input_moves(machine: TimedMachine, state: str, interval: ClockInterval):
 
     Moves come in transition order, one per input at most: each is looked
     up in the machine's guard index, so the machine must pass
-    :func:`~tfsm.core.validate_tfsm`.
+    :func:`~tfsm.core.validate_tfsm`.  Its guards then lie below the
+    timeouts, so an inadmissible configuration has no moves.
     """
-    if not admissible(machine, state, interval):
-        return []
-    region = tick_encode_delay(interval.representative())
     moves = []
     for i in machine.guard_index().get(state, ()):
-        t = machine.enabled(state, i, region)
+        t = machine.enabled(state, i, interval.region)
         if t is not None:
             moves.append((i, t.output, t.target))
     return moves
@@ -202,45 +216,38 @@ def input_moves(machine: TimedMachine, state: str, interval: ClockInterval):
 def abstract(machine: TimedMachine, keep_unreachable: bool = False) -> MealyMachine:
     """The untimed Mealy machine simulating ``machine`` tick by tick.
 
-    By default only configurations reachable from (initial, [0,0]) become
-    states.  With ``keep_unreachable`` every (state, interval) pair is kept,
-    the inadmissible ones as dead states with no outgoing transitions.
-    The machine must pass :func:`~tfsm.core.validate_tfsm`, since guards
-    are looked up as in :func:`input_moves`.
+    A breadth-first search of :class:`TickView` that names each
+    configuration when it first reaches it.  By default only configurations
+    reachable from (initial, [0,0]) become states.  With ``keep_unreachable``
+    every (state, interval) pair is kept, the inadmissible ones as dead
+    states with no outgoing transitions.  The machine must pass
+    :func:`~tfsm.core.validate_tfsm`, as for :func:`input_moves`.
     """
-    n_max = max_constant(machine)
-    intervals = interval_set(n_max)
-    point0 = intervals[0]
+    view = TickView(machine)
 
-    def edges_from(state, interval):
-        out = []
-        tick = tick_successor(machine, n_max, state, interval)
-        if tick is not None:
-            out.append((TICK, TICK, tick))
-        for i, o, target in input_moves(machine, state, interval):
-            out.append((i, o, (target, point0)))
-        return out
+    def name(config):
+        return abstract_state_name(config[0], ClockInterval.of_region(config[1], view.n_max))
 
-    start = (machine.initial, point0)
+    start = view.initial
     if keep_unreachable:
-        configs = [(s, interval) for s in machine.states for interval in intervals]
+        configs = [(s, k) for s in machine.states for k in range(2 * view.n_max + 2)]
     else:
         configs = [start]
-    names = {config: abstract_state_name(*config) for config in configs}
+    names = {config: name(config) for config in configs}
     queue = deque(configs)
     transitions = {}
     while queue:
         config = queue.popleft()
         source = names[config]
-        for i, o, succ in edges_from(*config):
+        for i, (o, succ) in view.moves(config):
             if succ not in names:
-                names[succ] = abstract_state_name(*succ)
+                names[succ] = name(succ)
                 queue.append(succ)
             transitions[(source, i)] = (o, names[succ])
     return MealyMachine(
         states=tuple(names.values()),
-        inputs=machine.inputs + (TICK,),
-        outputs=machine.outputs + (TICK,),
+        inputs=view.inputs,
+        outputs=view.outputs,
         initial=names[start],
         transitions=transitions,
     )
@@ -293,27 +300,21 @@ def canonical_bisimulation(machine: TimedMachine, fsm: MealyMachine) -> BisimRel
     faithfully abstracts the machine this is a tick bisimulation; for one
     that does not, :func:`check_bisimulation` pinpoints the mismatch.
     """
-    n_max = max_constant(machine)
-    point0 = ClockInterval.point(0)
-    start = ((machine.initial, point0), fsm.initial)
+    view = TickView(machine)
+    start = (view.initial, fsm.initial)
     pairs = {start}
     queue = deque([start])
     while queue:
-        (state, interval), r = queue.popleft()
-        successors = []
-        tick = tick_successor(machine, n_max, state, interval)
-        tick_edge = fsm.transitions.get((r, TICK))
-        if tick is not None and tick_edge is not None:
-            successors.append((tick, tick_edge[1]))
-        for i, _, target in input_moves(machine, state, interval):
-            edge = fsm.transitions.get((r, i))
-            if edge is not None:
-                successors.append(((target, point0), edge[1]))
-        for pair in successors:
+        config, r = queue.popleft()
+        for i, (_, succ) in view.moves(config):
+            fsm_edge = fsm.transitions.get((r, i))
+            if fsm_edge is None:
+                continue
+            pair = (succ, fsm_edge[1])
             if pair not in pairs:
                 pairs.add(pair)
                 queue.append(pair)
-    return BisimRelation(frozenset(pairs))
+    return BisimRelation(frozenset(((s, ClockInterval.of_region(k, view.n_max)), r) for (s, k), r in pairs))
 
 
 def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: BisimRelation) -> BisimCheck:
@@ -333,7 +334,7 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
 
     def pair_key(pair):
         (state, interval), r = pair
-        return (state, interval.sort_key, r)
+        return (state, interval.region, r)
 
     fsm_states = set(fsm.states)
     edges_by_source = {}

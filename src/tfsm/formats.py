@@ -70,20 +70,30 @@ _TOKEN_RE = re.compile(r"\S+")
 
 
 class _Reader:
-    """A document's non-empty lines as (lineno, [(token, column), ...]), comments stripped.
+    """A document's non-empty lines as (lineno, [token, ...]), comments stripped.
 
-    The text is tokenized once; each parser reads the lines from here.
+    The text is split into lines and tokens once; each parser reads the
+    lines from here.  A token's column is found only for an error.
     """
 
     def __init__(self, text: str):
-        raw_lines = text.splitlines()
+        self.raw_lines = text.splitlines()
         self.lines = []
-        for lineno, raw in enumerate(raw_lines, start=1):
-            tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
+        for lineno, raw in enumerate(self.raw_lines, start=1):
+            tokens = raw.split("#", 1)[0].split()
             if tokens:
                 self.lines.append((lineno, tokens))
         self.pos = 0
-        self.end_line = max(1, len(raw_lines))
+        self.end_line = max(1, len(self.raw_lines))
+
+    def column(self, lineno: int, k: int) -> int:
+        """The 1-based column of the ``k``-th token on line ``lineno``."""
+        matches = _TOKEN_RE.finditer(self.raw_lines[lineno - 1].split("#", 1)[0])
+        return [m.start() + 1 for m in matches][k]
+
+    def error(self, message: str, lineno: int, k: int = 0) -> ParseError:
+        """An error located at the ``k``-th token of line ``lineno``."""
+        return ParseError(message, lineno, self.column(lineno, k))
 
     def peek(self):
         return self.lines[self.pos] if self.pos < len(self.lines) else None
@@ -93,63 +103,59 @@ class _Reader:
         if entry is None:
             raise ParseError(f"unexpected end of file: expected a {keyword!r} line", self.end_line, 1)
         lineno, tokens = entry
-        if tokens[0][0] != keyword:
-            raise ParseError(f"expected {keyword!r}, found {tokens[0][0]!r}", lineno, tokens[0][1])
+        if tokens[0] != keyword:
+            raise self.error(f"expected {keyword!r}, found {tokens[0]!r}", lineno)
         self.pos += 1
         return lineno, tokens
 
 
-def _usage(tokens, lineno, expected_len, usage):
+def _usage(reader, tokens, lineno, expected_len, usage):
     if len(tokens) != expected_len:
-        raise ParseError(f"usage: {usage}", lineno, tokens[0][1])
+        raise reader.error(f"usage: {usage}", lineno)
 
 
-def _single(tokens, lineno, usage):
-    _usage(tokens, lineno, 2, usage)
-    return tokens[1][0]
-
-
-def _symbols(tokens, *, forbid_tick, lineno):
-    out = []
-    for text, col in tokens[1:]:
-        if forbid_tick and text == TICK:
-            raise ParseError(f"the tick symbol {TICK!r} is reserved here", lineno, col)
-        out.append(text)
-    return tuple(out)
+def _symbols(reader, tokens, lineno, *, forbid_tick):
+    if forbid_tick and TICK in tokens[1:]:
+        raise reader.error(f"the tick symbol {TICK!r} is reserved here", lineno, tokens.index(TICK, 1))
+    return tuple(tokens[1:])
 
 
 _GUARD_RE = re.compile(r"^([\[\(])(\d+),(\d+|inf)([\]\)])$")
 
 
-def _parse_guard(token: str, lineno: int, col: int) -> Guard:
+def _parse_guard(reader, token: str, lineno: int, k: int) -> Guard:
     m = _GUARD_RE.match(token)
     if m is None:
-        raise ParseError(
+        raise reader.error(
             f"malformed guard {token!r}: expected forms like [0,2), (1,3] or (2,inf)",
-            lineno, col,
+            lineno, k,
         )
     left, low, high, right = m.groups()
     upper = None if high == "inf" else int(high)
     if upper is None and right == "]":
-        raise ParseError("a guard unbounded above must close with ')'", lineno, col)
+        raise reader.error("a guard unbounded above must close with ')'", lineno, k)
     try:
         return Guard(int(low), upper, left == "[", right == "]")
     except ValueError as exc:
-        raise ParseError(str(exc), lineno, col) from exc
+        raise reader.error(str(exc), lineno, k) from exc
 
 
 def _parse_header(reader: _Reader, kind: str, tick_in_alphabets: bool):
-    _, tokens = reader.take(kind)
-    name = _single(tokens, tokens[0][1], f"{kind} NAME")
+    lineno, tokens = reader.take(kind)
+    if len(tokens) != 2:
+        # Located at (column, column) of the keyword, not at its line.
+        column = reader.column(lineno, 0)
+        raise ParseError(f"usage: {kind} NAME", column, column)
+    name = tokens[1]
     lineno, tokens = reader.take("inputs")
-    inputs = _symbols(tokens, forbid_tick=not tick_in_alphabets, lineno=lineno)
+    inputs = _symbols(reader, tokens, lineno, forbid_tick=not tick_in_alphabets)
     lineno, tokens = reader.take("outputs")
-    outputs = _symbols(tokens, forbid_tick=not tick_in_alphabets, lineno=lineno)
+    outputs = _symbols(reader, tokens, lineno, forbid_tick=not tick_in_alphabets)
     lineno, tokens = reader.take("states")
-    states = _symbols(tokens, forbid_tick=True, lineno=lineno)
+    states = _symbols(reader, tokens, lineno, forbid_tick=True)
     lineno, tokens = reader.take("initial")
-    initial = _single(tokens, lineno, "initial STATE")
-    return name, inputs, outputs, states, initial
+    _usage(reader, tokens, lineno, 2, "initial STATE")
+    return name, inputs, outputs, states, tokens[1]
 
 
 def parse_tfsm(text: str) -> MachineDocument:
@@ -164,41 +170,41 @@ def _parse_tfsm(reader: _Reader) -> MachineDocument:
     while reader.peek() is not None:
         lineno, tokens = reader.lines[reader.pos]
         reader.pos += 1
-        keyword = tokens[0][0]
+        keyword = tokens[0]
         if keyword == "timeout":
-            if len(tokens) == 3 and tokens[2][0] == "inf":
-                state, timeout = tokens[1][0], Timeout(None)
-            elif len(tokens) == 5 and tokens[3][0] == "->":
-                state = tokens[1][0]
+            if len(tokens) == 3 and tokens[2] == "inf":
+                state, timeout = tokens[1], Timeout(None)
+            elif len(tokens) == 5 and tokens[3] == "->":
+                state = tokens[1]
                 try:
-                    bound = int(tokens[2][0])
+                    bound = int(tokens[2])
                 except ValueError:
-                    raise ParseError(
-                        f"timeout bound must be a positive integer or 'inf', got {tokens[2][0]!r}",
-                        lineno, tokens[2][1],
+                    raise reader.error(
+                        f"timeout bound must be a positive integer or 'inf', got {tokens[2]!r}",
+                        lineno, 2,
                     ) from None
                 try:
-                    timeout = Timeout(bound, tokens[4][0])
+                    timeout = Timeout(bound, tokens[4])
                 except ValueError as exc:
-                    raise ParseError(str(exc), lineno, tokens[2][1]) from exc
+                    raise reader.error(str(exc), lineno, 2) from exc
             else:
-                raise ParseError("usage: timeout STATE inf | timeout STATE BOUND -> STATE", lineno, tokens[0][1])
+                raise reader.error("usage: timeout STATE inf | timeout STATE BOUND -> STATE", lineno)
             if state in timeouts:
-                raise ParseError(f"timeout for state {state} declared twice", lineno, tokens[1][1])
+                raise reader.error(f"timeout for state {state} declared twice", lineno, 1)
             timeouts[state] = timeout
         elif keyword == "trans":
-            _usage(tokens, lineno, 8, "trans SOURCE INPUT GUARD / OUTPUT -> TARGET")
-            if tokens[4][0] != "/":
-                raise ParseError(f"expected '/', found {tokens[4][0]!r}", lineno, tokens[4][1])
-            if tokens[6][0] != "->":
-                raise ParseError(f"expected '->', found {tokens[6][0]!r}", lineno, tokens[6][1])
+            _usage(reader, tokens, lineno, 8, "trans SOURCE INPUT GUARD / OUTPUT -> TARGET")
+            if tokens[4] != "/":
+                raise reader.error(f"expected '/', found {tokens[4]!r}", lineno, 4)
+            if tokens[6] != "->":
+                raise reader.error(f"expected '->', found {tokens[6]!r}", lineno, 6)
             for k in (2, 5):
-                if tokens[k][0] == TICK:
-                    raise ParseError(f"the tick symbol {TICK!r} is reserved here", lineno, tokens[k][1])
-            guard = _parse_guard(tokens[3][0], lineno, tokens[3][1])
-            transitions.append(Transition(tokens[1][0], tokens[2][0], guard, tokens[5][0], tokens[7][0]))
+                if tokens[k] == TICK:
+                    raise reader.error(f"the tick symbol {TICK!r} is reserved here", lineno, k)
+            guard = _parse_guard(reader, tokens[3], lineno, 3)
+            transitions.append(Transition(tokens[1], tokens[2], guard, tokens[5], tokens[7]))
         else:
-            raise ParseError(f"expected 'timeout' or 'trans', found {keyword!r}", lineno, tokens[0][1])
+            raise reader.error(f"expected 'timeout' or 'trans', found {keyword!r}", lineno)
     machine = TimedMachine(states, inputs, outputs, initial, tuple(transitions), timeouts)
     return MachineDocument("tfsm", name, machine)
 
@@ -214,24 +220,18 @@ def _parse_fsm(reader: _Reader) -> MachineDocument:
     while reader.peek() is not None:
         lineno, tokens = reader.lines[reader.pos]
         reader.pos += 1
-        if tokens[0][0] != "trans":
-            raise ParseError(f"expected 'trans', found {tokens[0][0]!r}", lineno, tokens[0][1])
-        _usage(tokens, lineno, 5, "trans SOURCE INPUT/OUTPUT -> TARGET")
-        if tokens[3][0] != "->":
-            raise ParseError(f"expected '->', found {tokens[3][0]!r}", lineno, tokens[3][1])
-        pair = tokens[2][0].split("/")
+        if tokens[0] != "trans":
+            raise reader.error(f"expected 'trans', found {tokens[0]!r}", lineno)
+        _usage(reader, tokens, lineno, 5, "trans SOURCE INPUT/OUTPUT -> TARGET")
+        if tokens[3] != "->":
+            raise reader.error(f"expected '->', found {tokens[3]!r}", lineno, 3)
+        pair = tokens[2].split("/")
         if len(pair) != 2 or not pair[0] or not pair[1]:
-            raise ParseError(
-                f"expected an input/output pair like i/o1, found {tokens[2][0]!r}",
-                lineno, tokens[2][1],
-            )
-        key = (tokens[1][0], pair[0])
+            raise reader.error(f"expected an input/output pair like i/o1, found {tokens[2]!r}", lineno, 2)
+        key = (tokens[1], pair[0])
         if key in transitions:
-            raise ParseError(
-                f"transition for state {key[0]} on input {key[1]} declared twice",
-                lineno, tokens[1][1],
-            )
-        transitions[key] = (pair[1], tokens[4][0])
+            raise reader.error(f"transition for state {key[0]} on input {key[1]} declared twice", lineno, 1)
+        transitions[key] = (pair[1], tokens[4])
     machine = MealyMachine(states, inputs, outputs, initial, transitions)
     return MachineDocument("fsm", name, machine)
 
@@ -243,12 +243,12 @@ def parse_document(text: str) -> MachineDocument:
     if first is None:
         raise ParseError("empty document: expected 'tfsm' or 'fsm'", 1, 1)
     lineno, tokens = first
-    keyword = tokens[0][0]
+    keyword = tokens[0]
     if keyword == "tfsm":
         return _parse_tfsm(reader)
     if keyword == "fsm":
         return _parse_fsm(reader)
-    raise ParseError(f"expected 'tfsm' or 'fsm', found {keyword!r}", lineno, tokens[0][1])
+    raise reader.error(f"expected 'tfsm' or 'fsm', found {keyword!r}", lineno)
 
 
 def serialize(machine: TimedMachine | MealyMachine, name: str = "machine") -> str:

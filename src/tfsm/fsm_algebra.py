@@ -51,40 +51,47 @@ def equivalent(a: MealyMachine, b: MealyMachine) -> EquivalenceVerdict:
     """Decide behavioral equivalence; on failure carry a shortest counterexample.
 
     Inputs outside a machine's alphabet count as undefined everywhere, so
-    machines over different alphabets can still be compared.
+    machines over different alphabets can still be compared.  Only
+    ``initial``, ``inputs`` and ``transitions.get`` are read, so a side may be
+    computed on demand.  Each pair points back to the pair it was reached
+    from, and the word is spelled out only on a mismatch.
     """
     inputs = _input_order(a, b)
     start = (a.initial, b.initial)
-    prefixes = {start: ()}
+    parents = {start: None}
     queue = deque([start])
     while queue:
         pair = queue.popleft()
         sa, sb = pair
-        prefix = prefixes[pair]
         for i in inputs:
             ea = a.transitions.get((sa, i))
             eb = b.transitions.get((sb, i))
             if ea is None and eb is None:
                 continue
-            word = prefix + (i,)
-            if ea is None or eb is None:
-                where = "the first machine" if eb is None else "the second machine"
-                return EquivalenceVerdict(False, Counterexample(
-                    word, DEFINEDNESS_MISMATCH,
-                    f"input {i} after {' '.join(prefix) or 'the empty word'} "
-                    f"is defined only in {where}",
-                ))
-            if ea[0] != eb[0]:
-                return EquivalenceVerdict(False, Counterexample(
-                    word, OUTPUT_MISMATCH,
-                    f"input {i} after {' '.join(prefix) or 'the empty word'} "
-                    f"outputs {ea[0]} in the first machine but {eb[0]} in the second",
-                ))
+            if ea is None or eb is None or ea[0] != eb[0]:
+                return EquivalenceVerdict(False, _counterexample(parents, pair, i, ea, eb))
             succ = (ea[1], eb[1])
-            if succ not in prefixes:
-                prefixes[succ] = word
+            if succ not in parents:
+                parents[succ] = (pair, i)
                 queue.append(succ)
     return EquivalenceVerdict(True)
+
+
+def _counterexample(parents, pair, i, ea, eb) -> Counterexample:
+    prefix = []
+    while parents[pair] is not None:
+        pair, symbol = parents[pair]
+        prefix.append(symbol)
+    prefix.reverse()
+    after = " ".join(prefix) or "the empty word"
+    word = (*prefix, i)
+    if ea is None or eb is None:
+        where = "the first machine" if eb is None else "the second machine"
+        return Counterexample(word, DEFINEDNESS_MISMATCH, f"input {i} after {after} is defined only in {where}")
+    return Counterexample(
+        word, OUTPUT_MISMATCH,
+        f"input {i} after {after} outputs {ea[0]} in the first machine but {eb[0]} in the second",
+    )
 
 
 def product(a: MealyMachine, b: MealyMachine, renumber: bool = True) -> MealyMachine:

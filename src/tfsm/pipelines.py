@@ -4,16 +4,18 @@ Equivalence and intersection of timed machines reduce to the corresponding
 untimed questions about their tick abstractions: two timed machines are
 equivalent exactly when their abstractions are, and refining the product of
 the abstractions yields a timed machine realizing the behavior common to
-both.  A separating word found on the untimed side decodes back into a
-timed word -- each maximal block of ticks stands for half its length in
-time units -- and is confirmed by actually running both timed machines.
+both.  Equivalence reads the abstractions on demand, pair by pair, and stops
+at the first mismatch; intersection builds them.  A separating word found on
+the untimed side decodes back into a timed word -- each maximal block of
+ticks stands for half its length in time units -- and is confirmed by
+actually running both timed machines.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abstraction import abstract
+from .abstraction import TickView, abstract
 from .core import TimedMachine, TimedWord, Timeout, Transition, TICK, _guard_sort_key
 from .fsm_algebra import DEFINEDNESS_MISMATCH, OUTPUT_MISMATCH, equivalent, product
 from .refinement import refine
@@ -57,8 +59,13 @@ def decode_tick_word(symbols) -> TimedWord:
 
 
 def tfsm_equivalent(a: TimedMachine, b: TimedMachine) -> TimedEquivalenceVerdict:
-    """Decide whether two timed machines have identical timed behavior."""
-    verdict = equivalent(abstract(a), abstract(b))
+    """Decide whether two timed machines have identical timed behavior.
+
+    Both tick abstractions are read on demand (:class:`~tfsm.abstraction.TickView`),
+    never built, and the breadth-first search stops at the first mismatch,
+    so the untimed counterexample is still a shortest one.
+    """
+    verdict = equivalent(TickView(a), TickView(b))
     if verdict.equivalent:
         return TimedEquivalenceVerdict(True)
 

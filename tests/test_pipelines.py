@@ -9,6 +9,7 @@ import pytest
 from tfsm import (
     OUTPUT_MISMATCH,
     TICK,
+    MealyMachine,
     TimedWord,
     Transition,
     canonical_tfsm,
@@ -72,6 +73,14 @@ class TestTimedEquivalence:
         ]
         same = replace(guarded_pair, transitions=tuple(widened))
         assert tfsm_equivalent(guarded_pair, same).equivalent
+
+    def test_no_untimed_machine_is_built(self, guarded_pair, guarded_pair_rebuilt, blinker, monkeypatch):
+        def refuse(self):
+            raise AssertionError("tfsm_equivalent built a MealyMachine")
+
+        monkeypatch.setattr(MealyMachine, "__post_init__", refuse)
+        assert tfsm_equivalent(guarded_pair, guarded_pair_rebuilt).equivalent
+        assert not tfsm_equivalent(guarded_pair, blinker).equivalent
 
     def test_timeout_bound_differences_are_caught(self, guarded_pair):
         hurried = replace(
