@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from operator import itemgetter
 
 from .core import MealyMachine, TimedMachine, TICK
 from .semantics import tick_encode_delay
@@ -186,33 +187,6 @@ def admissible(machine: TimedMachine, state: str, interval: ClockInterval) -> bo
     return bound is None or interval.region < 2 * bound
 
 
-def tick_successor(machine: TimedMachine, n_max: int, state: str, interval: ClockInterval):
-    """Where half a time unit of delay leads from (state, interval).
-
-    Returns the successor ``(state, interval)`` pair, or ``None`` when the
-    configuration is not admissible (no clock value in the interval is a
-    valid configuration of the state).
-    """
-    succ = _tick(machine, 2 * n_max + 1, state, interval.region)
-    return None if succ is None else (succ[0], ClockInterval.of_region(succ[1], n_max))
-
-
-def input_moves(machine: TimedMachine, state: str, interval: ClockInterval):
-    """The guarded moves enabled on the whole interval, as (input, output, target).
-
-    Moves come in transition order, one per input at most: each is looked
-    up in the machine's guard index, so the machine must pass
-    :func:`~tfsm.core.validate_tfsm`.  Its guards then lie below the
-    timeouts, so an inadmissible configuration has no moves.
-    """
-    moves = []
-    for i in machine.guard_index().get(state, ()):
-        t = machine.enabled(state, i, interval.region)
-        if t is not None:
-            moves.append((i, t.output, t.target))
-    return moves
-
-
 def abstract(machine: TimedMachine, keep_unreachable: bool = False) -> MealyMachine:
     """The untimed Mealy machine simulating ``machine`` tick by tick.
 
@@ -221,7 +195,8 @@ def abstract(machine: TimedMachine, keep_unreachable: bool = False) -> MealyMach
     reachable from (initial, [0,0]) become states.  With ``keep_unreachable``
     every (state, interval) pair is kept, the inadmissible ones as dead
     states with no outgoing transitions.  The machine must pass
-    :func:`~tfsm.core.validate_tfsm`, as for :func:`input_moves`.
+    :func:`~tfsm.core.validate_tfsm`: guarded moves are looked up in
+    :meth:`~tfsm.core.TimedMachine.guard_index`, which needs disjoint guards.
     """
     view = TickView(machine)
 
@@ -324,33 +299,47 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
     (conditions 1 and 2) and guarded moves against input/output transitions
     (conditions 3 and 4), with related successors.  The initial
     configurations must be related (condition 0).  The first violation in a
-    deterministic sweep is reported.
+    deterministic sweep is reported.  A pair's moves are those of
+    :class:`TickView` at its interval's region.
     """
-    n_max = max_constant(machine)
-    point0 = ClockInterval.point(0)
-    initial_pair = ((machine.initial, point0), fsm.initial)
-    if initial_pair not in relation:
+    view = TickView(machine)
+    n_max = view.n_max
+    partition = {(interval.kind, interval.n): interval.region for interval in interval_set(n_max)}
+    sweep = []
+    related = set()
+    for pair in relation.pairs:
+        (state, interval), r = pair
+        k = partition.get((interval.kind, interval.n))
+        if k is None:
+            # Swept at its region, but never related: every successor is a
+            # partition member, and open(N) shares its region with tail(N).
+            sweep.append((state, interval.region, r, pair))
+        else:
+            sweep.append((state, k, r, pair))
+            related.add(((state, k), r))
+    if ((machine.initial, 0), fsm.initial) not in related:
+        initial_pair = ((machine.initial, ClockInterval.point(0)), fsm.initial)
         return BisimCheck(False, 0, initial_pair, "initial configurations are not related")
 
-    def pair_key(pair):
-        (state, interval), r = pair
-        return (state, interval.region, r)
+    def config_str(config):
+        return f"({config[0]},{ClockInterval.of_region(config[1], n_max)})"
 
     fsm_states = set(fsm.states)
     edges_by_source = {}
     for (source, i), edge in sorted(fsm.transitions.items()):
         edges_by_source.setdefault(source, []).append((i, edge))
 
-    for pair in sorted(relation.pairs, key=pair_key):
-        (state, interval), r = pair
+    sweep.sort(key=itemgetter(0, 1, 2))
+    for state, k, r, pair in sweep:
+        interval = pair[0][1]
         if state not in machine.timeouts:
             return BisimCheck(False, None, pair, f"unknown timed state {state!r} in relation")
         if r not in fsm_states:
             return BisimCheck(False, None, pair, f"unknown untimed state {r!r} in relation")
 
-        timed_tick = tick_successor(machine, n_max, state, interval)
+        moves = dict(view.moves((state, k)))
+        timed_tick = moves.pop(TICK, None)
         tick_edge = fsm.transitions.get((r, TICK))
-        moves = input_moves(machine, state, interval)
 
         # 1: every delay move needs a tick/tick transition to a related state.
         if timed_tick is not None:
@@ -364,27 +353,22 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
                     False, 1, pair,
                     f"tick transition of {r} outputs {tick_edge[0]!r} instead of the tick symbol",
                 )
-            if (timed_tick, tick_edge[1]) not in relation:
+            if (timed_tick[1], tick_edge[1]) not in related:
                 return BisimCheck(
                     False, 1, pair,
-                    f"delay successors ({timed_tick[0]},{timed_tick[1]}) and {tick_edge[1]} are not related",
+                    f"delay successors {config_str(timed_tick[1])} and {tick_edge[1]} are not related",
                 )
 
-        # 2: every tick/tick transition needs a delay move to a related state.
-        if tick_edge is not None and tick_edge[0] == TICK:
-            if timed_tick is None:
-                return BisimCheck(
-                    False, 2, pair,
-                    f"{r} has a tick transition but no time can pass in ({state},{interval})",
-                )
-            if (timed_tick, tick_edge[1]) not in relation:
-                return BisimCheck(
-                    False, 2, pair,
-                    f"delay successors ({timed_tick[0]},{timed_tick[1]}) and {tick_edge[1]} are not related",
-                )
+        # 2: every tick/tick transition needs a delay move (whose successor
+        # condition 1 has already related).
+        if tick_edge is not None and tick_edge[0] == TICK and timed_tick is None:
+            return BisimCheck(
+                False, 2, pair,
+                f"{r} has a tick transition but no time can pass in ({state},{interval})",
+            )
 
         # 3: every guarded move needs a matching input/output transition.
-        for i, o, target in moves:
+        for i, (o, succ) in moves.items():
             edge = fsm.transitions.get((r, i))
             if edge is None:
                 return BisimCheck(
@@ -396,10 +380,10 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
                     False, 3, pair,
                     f"input {i} outputs {o} in ({state},{interval}) but {edge[0]} at {r}",
                 )
-            if ((target, point0), edge[1]) not in relation:
+            if (succ, edge[1]) not in related:
                 return BisimCheck(
                     False, 3, pair,
-                    f"successors ({target},{point0}) and {edge[1]} on input {i} are not related",
+                    f"successors {config_str(succ)} and {edge[1]} on input {i} are not related",
                 )
 
         # 4: every input/output transition needs a matching guarded move.
@@ -411,21 +395,21 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
                         f"{r} answers the tick with output {o!r}, which no timed move matches",
                     )
                 continue
-            match = next((m for m in moves if m[0] == i), None)
+            match = moves.get(i)
             if match is None:
                 return BisimCheck(
                     False, 4, pair,
                     f"{r} consumes input {i} but no guard admits it in ({state},{interval})",
                 )
-            if match[1] != o:
+            if match[0] != o:
                 return BisimCheck(
                     False, 4, pair,
-                    f"input {i} outputs {o} at {r} but {match[1]} in ({state},{interval})",
+                    f"input {i} outputs {o} at {r} but {match[0]} in ({state},{interval})",
                 )
-            if ((match[2], point0), r2) not in relation:
+            if (match[1], r2) not in related:
                 return BisimCheck(
                     False, 4, pair,
-                    f"successors ({match[2]},{point0}) and {r2} on input {i} are not related",
+                    f"successors {config_str(match[1])} and {r2} on input {i} are not related",
                 )
 
     return BisimCheck(True)

@@ -61,6 +61,29 @@ class Guard:
         """The point interval [n,n]."""
         return cls(n, n, True, True)
 
+    @property
+    def regions(self) -> tuple:
+        """The clock regions covered, as ``(first, last)`` inclusive.
+
+        Region ``2n`` is the clock value ``n`` and region ``2n + 1`` the open
+        interval (n,n+1): the one-clock regions of Alur and Dill, numbered as
+        in :func:`tfsm.semantics.tick_encode_delay`.  ``last`` is ``inf``
+        for a guard unbounded above.
+        """
+        first = 2 * self.lower + (not self.lower_closed)
+        if self.upper is None:
+            return first, inf
+        return first, 2 * self.upper - (not self.upper_closed)
+
+    @classmethod
+    def of_regions(cls, first: int, last) -> "Guard":
+        """The guard covering clock regions ``first`` to ``last`` (``inf`` for no upper bound)."""
+        lower, lower_open = divmod(first, 2)
+        if last == inf:
+            return cls(lower, None, not lower_open, False)
+        upper, upper_closed = divmod(last + 1, 2)
+        return cls(lower, upper, not lower_open, bool(upper_closed))
+
     def contains(self, x) -> bool:
         """Exact membership test for a rational clock value."""
         x = Fraction(x)
@@ -79,30 +102,9 @@ class Guard:
 
 
 def guards_disjoint(g1: Guard, g2: Guard) -> bool:
-    """True iff no rational value belongs to both intervals."""
-    if g1.lower > g2.lower:
-        lo, lo_closed = g1.lower, g1.lower_closed
-    elif g2.lower > g1.lower:
-        lo, lo_closed = g2.lower, g2.lower_closed
-    else:
-        lo, lo_closed = g1.lower, g1.lower_closed and g2.lower_closed
-    if g1.upper is None and g2.upper is None:
-        return False
-    if g1.upper is None:
-        hi, hi_closed = g2.upper, g2.upper_closed
-    elif g2.upper is None:
-        hi, hi_closed = g1.upper, g1.upper_closed
-    elif g1.upper < g2.upper:
-        hi, hi_closed = g1.upper, g1.upper_closed
-    elif g2.upper < g1.upper:
-        hi, hi_closed = g2.upper, g2.upper_closed
-    else:
-        hi, hi_closed = g1.upper, g1.upper_closed and g2.upper_closed
-    if lo < hi:
-        return False  # rationals are dense: any open gap is inhabited
-    if lo > hi:
-        return True
-    return not (lo_closed and hi_closed)
+    """True iff no rational value belongs to both intervals, i.e. no clock region does."""
+    (s1, e1), (s2, e2) = g1.regions, g2.regions
+    return e1 < s2 or e2 < s1
 
 
 def _guard_sort_key(g: Guard):
@@ -198,12 +200,9 @@ class TimedMachine:
     def guard_index(self) -> dict:
         """The guards of each (state, input) as clock-region ranges, built on first use.
 
-        Region ``2n`` is the clock value ``n`` and region ``2n + 1`` the
-        open interval (n,n+1), the numbering of
-        :func:`tfsm.semantics.tick_encode_delay`.  ``index[state][input]``
-        is ``(starts, ends, transitions)`` in transition order: the k-th
-        guard covers regions ``starts[k]`` to ``ends[k]`` inclusive, and
-        ``ends[k]`` is ``inf`` for a guard unbounded above.
+        ``index[state][input]`` is ``(starts, ends, transitions)`` in
+        transition order: the k-th guard covers the regions
+        ``starts[k]`` to ``ends[k]`` of its :attr:`Guard.regions`.
         """
         try:
             return self._guard_index
@@ -211,10 +210,10 @@ class TimedMachine:
             pass
         index = {}
         for t in self.transitions:
-            g = t.guard
             starts, ends, group = index.setdefault(t.source, {}).setdefault(t.input, ([], [], []))
-            starts.append(2 * g.lower + (not g.lower_closed))
-            ends.append(inf if g.upper is None else 2 * g.upper - (not g.upper_closed))
+            first, last = t.guard.regions
+            starts.append(first)
+            ends.append(last)
             group.append(t)
         object.__setattr__(self, "_guard_index", index)
         return index
@@ -257,6 +256,24 @@ class MealyMachine:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         object.__setattr__(self, "transitions", dict(self.transitions))
+
+    def ordered_transitions(self) -> list:
+        """``transitions.items()`` by source in state order, then by input in alphabet order.
+
+        Undeclared names sort after the declared ones, by name.  This is the
+        order of machine files and exports.
+        """
+        state_pos = {s: k for k, s in enumerate(self.states)}
+        input_pos = {i: k for k, i in enumerate(self.inputs)}
+        return sorted(
+            self.transitions.items(),
+            key=lambda item: (
+                state_pos.get(item[0][0], len(state_pos)),
+                item[0][0],
+                input_pos.get(item[0][1], len(input_pos)),
+                item[0][1],
+            ),
+        )
 
     @property
     def user_inputs(self) -> tuple[str, ...]:
@@ -341,16 +358,11 @@ class TimedState:
         return f"({self.state}, {self.clock})"
 
 
-def validate_tfsm(machine: TimedMachine) -> list[str]:
-    """Check every structural invariant of a timed machine.
-
-    Returns a list of human-readable violations; an empty list means the
-    machine is valid.  Nothing is raised: violations are data.
-    """
+def _header_problems(machine: TimedMachine | MealyMachine) -> list[str]:
+    """The checks both validators run first: repeated names, empty alphabets, states named as symbols."""
     problems = []
-    states = machine.states
     seen = set()
-    for s in states:
+    for s in machine.states:
         if s in seen:
             problems.append(f"state {s!r} declared more than once")
         seen.add(s)
@@ -358,17 +370,29 @@ def validate_tfsm(machine: TimedMachine) -> list[str]:
         dup = {a for a in alphabet if alphabet.count(a) > 1}
         for a in sorted(dup):
             problems.append(f"{label} symbol {a!r} declared more than once")
-    if not states:
+    if not machine.states:
         problems.append("machine has no states")
     if not machine.inputs:
         problems.append("machine has an empty input alphabet")
     if not machine.outputs:
         problems.append("machine has an empty output alphabet")
-    state_set, input_set, output_set = set(states), set(machine.inputs), set(machine.outputs)
+    state_set, input_set, output_set = set(machine.states), set(machine.inputs), set(machine.outputs)
     for x in sorted(state_set & input_set):
         problems.append(f"{x!r} is both a state and an input symbol")
     for x in sorted(state_set & output_set):
         problems.append(f"{x!r} is both a state and an output symbol")
+    return problems
+
+
+def validate_tfsm(machine: TimedMachine) -> list[str]:
+    """Check every structural invariant of a timed machine.
+
+    Returns a list of human-readable violations; an empty list means the
+    machine is valid.  Nothing is raised: violations are data.
+    """
+    problems = _header_problems(machine)
+    states = machine.states
+    state_set, input_set, output_set = set(states), set(machine.inputs), set(machine.outputs)
     for x in sorted(input_set & output_set):
         problems.append(f"{x!r} is both an input and an output symbol")
     if machine.initial not in state_set:
@@ -414,14 +438,10 @@ def validate_tfsm(machine: TimedMachine) -> list[str]:
         timeout = machine.timeouts.get(t.source)
         if timeout is None or timeout.bound is None:
             continue
-        bound = timeout.bound
-        fits = t.guard.upper is not None and (
-            t.guard.upper < bound or (t.guard.upper == bound and not t.guard.upper_closed)
-        )
-        if not fits:
+        if t.guard.regions[1] >= 2 * timeout.bound:
             problems.append(
                 f"guard {t.guard} on transition ({t}) admits clock values not below "
-                f"the timeout bound {bound} of state {t.source}"
+                f"the timeout bound {timeout.bound} of state {t.source}"
             )
 
     return problems
@@ -433,28 +453,8 @@ def validate_fsm(machine: MealyMachine) -> list[str]:
     Same contract as :func:`validate_tfsm`: violations come back as a list
     of messages, empty when the machine is consistent.
     """
-    problems = []
-    states = machine.states
-    seen = set()
-    for s in states:
-        if s in seen:
-            problems.append(f"state {s!r} declared more than once")
-        seen.add(s)
-    for label, alphabet in (("input", machine.inputs), ("output", machine.outputs)):
-        dup = {a for a in alphabet if alphabet.count(a) > 1}
-        for a in sorted(dup):
-            problems.append(f"{label} symbol {a!r} declared more than once")
-    if not states:
-        problems.append("machine has no states")
-    if not machine.inputs:
-        problems.append("machine has an empty input alphabet")
-    if not machine.outputs:
-        problems.append("machine has an empty output alphabet")
-    state_set, input_set, output_set = set(states), set(machine.inputs), set(machine.outputs)
-    for x in sorted(state_set & input_set):
-        problems.append(f"{x!r} is both a state and an input symbol")
-    for x in sorted(state_set & output_set):
-        problems.append(f"{x!r} is both a state and an output symbol")
+    problems = _header_problems(machine)
+    state_set, input_set, output_set = set(machine.states), set(machine.inputs), set(machine.outputs)
     if machine.initial not in state_set:
         problems.append(f"initial state {machine.initial!r} is not a declared state")
     for (s, i), (o, target) in sorted(machine.transitions.items()):

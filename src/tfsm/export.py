@@ -38,18 +38,7 @@ def export_dot(machine: TimedMachine | MealyMachine, name: str = "machine") -> s
                     f"[label={_quote(f't={timeout.bound}')}, style=dashed];"
                 )
     else:
-        state_pos = {s: k for k, s in enumerate(machine.states)}
-        input_pos = {i: k for k, i in enumerate(machine.inputs)}
-        ordered = sorted(
-            machine.transitions.items(),
-            key=lambda item: (
-                state_pos.get(item[0][0], len(state_pos)),
-                item[0][0],
-                input_pos.get(item[0][1], len(input_pos)),
-                item[0][1],
-            ),
-        )
-        for (source, i), (o, target) in ordered:
+        for (source, i), (o, target) in machine.ordered_transitions():
             lines.append(f"  {_quote(source)} -> {_quote(target)} [label={_quote(f'{i}/{o}')}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -142,10 +142,7 @@ def _parse_guard(reader, token: str, lineno: int, k: int) -> Guard:
 
 def _parse_header(reader: _Reader, kind: str, tick_in_alphabets: bool):
     lineno, tokens = reader.take(kind)
-    if len(tokens) != 2:
-        # Located at (column, column) of the keyword, not at its line.
-        column = reader.column(lineno, 0)
-        raise ParseError(f"usage: {kind} NAME", column, column)
+    _usage(reader, tokens, lineno, 2, f"{kind} NAME")
     name = tokens[1]
     lineno, tokens = reader.take("inputs")
     inputs = _symbols(reader, tokens, lineno, forbid_tick=not tick_in_alphabets)
@@ -289,17 +286,6 @@ def _serialize_fsm(machine: MealyMachine, name: str) -> str:
         "states " + " ".join(machine.states),
         f"initial {machine.initial}",
     ]
-    state_pos = {s: k for k, s in enumerate(machine.states)}
-    input_pos = {i: k for k, i in enumerate(machine.inputs)}
-    ordered = sorted(
-        machine.transitions.items(),
-        key=lambda item: (
-            state_pos.get(item[0][0], len(state_pos)),
-            item[0][0],
-            input_pos.get(item[0][1], len(input_pos)),
-            item[0][1],
-        ),
-    )
-    for (source, i), (o, target) in ordered:
+    for (source, i), (o, target) in machine.ordered_transitions():
         lines.append(f"trans {source} {i}/{o} -> {target}")
     return "\n".join(lines) + "\n"

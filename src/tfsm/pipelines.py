@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abstraction import TickView, abstract
-from .core import TimedMachine, TimedWord, Timeout, Transition, TICK, _guard_sort_key
+from .core import TimedMachine, TimedWord, Timeout, Transition, TICK
 from .fsm_algebra import DEFINEDNESS_MISMATCH, OUTPUT_MISMATCH, equivalent, product
 from .refinement import refine
 from .semantics import run
@@ -106,7 +106,8 @@ def canonical_tfsm(machine: TimedMachine) -> TimedMachine:
     """A canonical renaming for isomorphism checks.
 
     Reachable states (through transitions and timeout targets) become
-    0, 1, 2, ... in breadth-first order, edges explored by input and guard;
+    0, 1, 2, ... in breadth-first order, edges explored by input and guard
+    (the order :class:`~tfsm.core.TimedMachine` stores them in);
     alphabets are sorted.  Equal canonical forms mean isomorphic reachable
     parts, including guards and timeouts.
     """
@@ -115,10 +116,7 @@ def canonical_tfsm(machine: TimedMachine) -> TimedMachine:
     queue = deque([machine.initial])
     while queue:
         s = queue.popleft()
-        targets = [
-            t.target
-            for t in sorted(machine.transitions_from(s), key=lambda t: (t.input, _guard_sort_key(t.guard)))
-        ]
+        targets = [t.target for t in machine.transitions_from(s)]
         timeout = machine.timeouts[s]
         if timeout.target is not None:
             targets.append(timeout.target)

@@ -44,14 +44,6 @@ def is_time_progressive(fsm: MealyMachine) -> TimeProgressReport:
     return TimeProgressReport(not offenders, tuple(offenders))
 
 
-def _cursor_guard(position: int) -> Guard:
-    """The clock interval at stop ``position`` of a delay walk."""
-    n, parity = divmod(position, 2)
-    if parity == 0:
-        return Guard.point(n)
-    return Guard(n, n + 1, False, False)
-
-
 def _user_moves(fsm: MealyMachine, state: str):
     for i in fsm.user_inputs:
         edge = fsm.transitions.get((state, i))
@@ -66,7 +58,7 @@ def _refine_state(fsm: MealyMachine, start: str):
     state = start
     position = 0
     while True:
-        guard = _cursor_guard(position)
+        guard = Guard.of_regions(position, position)
         for i, o, target in _user_moves(fsm, state):
             transitions.append(Transition(start, i, guard, o, target))
         nxt = fsm.transitions[(state, TICK)][1]
@@ -78,7 +70,7 @@ def _refine_state(fsm: MealyMachine, start: str):
             # Exit inside (n,n+1): inputs of the revisited state are still
             # acceptable until the clock reaches n+1, then time out to its
             # own tick successor.
-            guard = _cursor_guard(position)
+            guard = Guard.of_regions(position, position)
             for i, o, target in _user_moves(fsm, nxt):
                 transitions.append(Transition(start, i, guard, o, target))
             return transitions, Timeout(n + 1, fsm.transitions[(nxt, TICK)][1])
@@ -126,25 +118,6 @@ def refine(fsm: MealyMachine, merge: bool = True) -> TimedMachine:
     return merge_guards(machine) if merge else machine
 
 
-def _touching(g1: Guard, g2: Guard) -> bool:
-    """True iff g1 and g2 (g1 sorted first) union to a single interval."""
-    if g1.upper is None:
-        return True
-    if g2.lower < g1.upper:
-        return True
-    return g2.lower == g1.upper and (g1.upper_closed or g2.lower_closed)
-
-
-def _union(g1: Guard, g2: Guard) -> Guard:
-    if g1.upper is None or (g2.upper is not None and g2.upper < g1.upper):
-        upper, upper_closed = g1.upper, g1.upper_closed
-    elif g2.upper is None or g2.upper > g1.upper:
-        upper, upper_closed = g2.upper, g2.upper_closed
-    else:
-        upper, upper_closed = g1.upper, g1.upper_closed or g2.upper_closed
-    return Guard(g1.lower, upper, g1.lower_closed, upper_closed)
-
-
 def merge_guards(machine: TimedMachine) -> TimedMachine:
     """Merge guards of transitions sharing source, input, output and target.
 
@@ -152,20 +125,22 @@ def merge_guards(machine: TimedMachine) -> TimedMachine:
     union, repeatedly, until no two remain mergeable.  The behavior of the
     machine is unchanged: no clock value is added or lost.
     """
-    groups: dict[tuple[str, str, str, str], list[Guard]] = {}
+    groups: dict[tuple[str, str, str, str], list[tuple]] = {}
     for t in machine.transitions:
-        groups.setdefault((t.source, t.input, t.output, t.target), []).append(t.guard)
+        groups.setdefault((t.source, t.input, t.output, t.target), []).append(t.guard.regions)
 
     merged_transitions = []
-    for (source, i, o, target), guards in groups.items():
-        guards.sort(key=lambda g: (g.lower, not g.lower_closed))
-        merged = [guards[0]]
-        for g in guards[1:]:
-            if _touching(merged[-1], g):
-                merged[-1] = _union(merged[-1], g)
+    for (source, i, o, target), ranges in groups.items():
+        # Sorted by first region, a range touches the union before it iff
+        # it starts at most one region past that union's end.
+        ranges.sort()
+        merged = [ranges[0]]
+        for first, last in ranges[1:]:
+            if first <= merged[-1][1] + 1:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], last))
             else:
-                merged.append(g)
-        merged_transitions.extend(Transition(source, i, g, o, target) for g in merged)
+                merged.append((first, last))
+        merged_transitions.extend(Transition(source, i, Guard.of_regions(*r), o, target) for r in merged)
 
     return TimedMachine(
         states=machine.states,

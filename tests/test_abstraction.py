@@ -24,7 +24,7 @@ from tfsm import (
     interval_set,
     max_constant,
 )
-from tfsm.abstraction import ClockInterval, input_moves, tick_successor
+from tfsm.abstraction import ClockInterval, TickView
 
 
 class TestClockIntervals:
@@ -89,35 +89,39 @@ class TestTickSuccessor:
         assert all(admissible(guarded_pair, "s1", i) for i in interval_set(1))
 
     def test_successor_is_defined_exactly_on_admissible_configurations(self, handover):
-        n = max_constant(handover)
+        view = TickView(handover)
         for state in handover.states:
-            for interval in interval_set(n):
-                succ = tick_successor(handover, n, state, interval)
+            for interval in interval_set(view.n_max):
+                succ = view.get(((state, interval.region), TICK))
                 assert (succ is not None) == admissible(handover, state, interval)
 
     def test_half_steps_walk_the_partition(self, guarded_pair):
-        assert tick_successor(guarded_pair, 1, "s1", ClockInterval.point(0)) == (
-            "s1",
-            ClockInterval.open(0),
-        )
-        assert tick_successor(guarded_pair, 1, "s1", ClockInterval.point(1)) == (
-            "s1",
-            ClockInterval.tail(1),
-        )
+        view = TickView(guarded_pair)
         tail = ClockInterval.tail(1)
-        assert tick_successor(guarded_pair, 1, "s1", tail) == ("s1", tail)
+        assert view.get((("s1", ClockInterval.point(0).region), TICK)) == (
+            TICK,
+            ("s1", ClockInterval.open(0).region),
+        )
+        assert view.get((("s1", ClockInterval.point(1).region), TICK)) == (TICK, ("s1", tail.region))
+        assert view.get((("s1", tail.region), TICK)) == (TICK, ("s1", tail.region))
 
     def test_timeout_redirects_the_step_at_the_bound(self, guarded_pair):
-        assert tick_successor(guarded_pair, 1, "s0", ClockInterval.open(0)) == (
-            "s1",
-            ClockInterval.point(0),
+        view = TickView(guarded_pair)
+        assert view.get((("s0", ClockInterval.open(0).region), TICK)) == (
+            TICK,
+            ("s1", ClockInterval.point(0).region),
         )
 
     def test_input_moves_need_the_whole_interval_inside_the_guard(self, guarded_pair):
-        # s1 answers o2 on [0,1] and o1 on (1,inf).
-        assert input_moves(guarded_pair, "s1", ClockInterval.point(1)) == [("i", "o2", "s1")]
-        assert input_moves(guarded_pair, "s1", ClockInterval.tail(1)) == [("i", "o1", "s0")]
-        assert input_moves(guarded_pair, "s0", ClockInterval.point(1)) == []
+        view = TickView(guarded_pair)
+
+        def input_moves(state, interval):
+            return [(i, edge) for i, edge in view.moves((state, interval.region)) if i != TICK]
+
+        # s1 answers o2 on [0,1] and o1 on (1,inf); every input resets the clock.
+        assert input_moves("s1", ClockInterval.point(1)) == [("i", ("o2", ("s1", 0)))]
+        assert input_moves("s1", ClockInterval.tail(1)) == [("i", ("o1", ("s0", 0)))]
+        assert input_moves("s0", ClockInterval.point(1)) == []
 
 
 class TestAbstract:

@@ -210,6 +210,44 @@ class TestTimedMachine:
         assert any("no timeout" in p for p in validate_tfsm(m))
 
 
+HEADER_FAULTS = [
+    "state 's' declared more than once",
+    "input symbol 'i' declared more than once",
+    "output symbol 'o' declared more than once",
+    "'i' is both a state and an input symbol",
+    "'o' is both a state and an output symbol",
+]
+EMPTY_HEADER = [
+    "machine has no states",
+    "machine has an empty input alphabet",
+    "machine has an empty output alphabet",
+    "initial state 'nowhere' is not a declared state",
+]
+
+
+class TestHeaderValidation:
+    """Both validators report the same header faults, in the same order."""
+
+    def test_timed_machine_with_every_header_fault(self):
+        m = TimedMachine(
+            ("s", "s", "i", "o"), ("i", "i", "x"), ("o", "o", "x"), "nowhere", (),
+            {"s": Timeout(None), "i": Timeout(None), "o": Timeout(None)},
+        )
+        assert validate_tfsm(m) == HEADER_FAULTS + [
+            "'x' is both an input and an output symbol",
+            "initial state 'nowhere' is not a declared state",
+        ]
+
+    def test_mealy_machine_with_every_header_fault(self):
+        m = MealyMachine(("s", "s", "i", "o"), ("i", "i", "x"), ("o", "o", "x"), "nowhere", {})
+        # Untimed machines may share input and output symbols, as the tick does.
+        assert validate_fsm(m) == HEADER_FAULTS + ["initial state 'nowhere' is not a declared state"]
+
+    def test_empty_header(self):
+        assert validate_tfsm(TimedMachine((), (), (), "nowhere", (), {})) == EMPTY_HEADER
+        assert validate_fsm(MealyMachine((), (), (), "nowhere", {})) == EMPTY_HEADER
+
+
 class TestMealyValidation:
     def test_valid_machine(self):
         m = MealyMachine(

@@ -1,15 +1,17 @@
 """Guard lookups, on-demand searches and minimization against the code they replaced.
 
-``step`` and ``input_moves`` find a guard by bisection in the machine's
-index of clock regions, ``refine`` walks only the states its result
-reaches, ``minimize`` refines partitions by Hopcroft's algorithm,
-``abstract`` and ``tfsm_equivalent`` read the tick abstraction on integer
-clock regions, the latter without building it, and ``equivalent`` keeps one
-parent pointer per pair.  The functions below are the earlier linear guard
-scans, the eager refinement loop, the Moore-round minimization, the
-abstraction over clock intervals and the equivalence search that carries a
-prefix per pair, kept as references: the fast paths must return equal
-results, in equal order.
+``step`` and the tick view's input moves find a guard by bisection in the
+machine's index of clock regions, ``refine`` walks only the states its
+result reaches, ``minimize`` refines partitions by Hopcroft's algorithm,
+``abstract``, ``tfsm_equivalent`` and ``check_bisimulation`` read the tick
+abstraction on integer clock regions, the first two without building it,
+``equivalent`` keeps one parent pointer per pair, and ``merge_guards``
+joins guards as ranges of clock regions.  The functions below are the
+earlier linear guard scans, the eager refinement loop, the Moore-round
+minimization, the abstraction and the bisimulation checker over clock
+intervals, the equivalence search that carries a prefix per pair and the
+guard merge by cases on endpoints, kept as references: the fast paths must
+return equal results, in equal order.
 """
 
 import random
@@ -22,19 +24,25 @@ from tfsm import (
     DEFINEDNESS_MISMATCH,
     OUTPUT_MISMATCH,
     TICK,
+    BisimCheck,
+    BisimRelation,
     ClockInterval,
     Counterexample,
     EquivalenceVerdict,
+    Guard,
     MealyMachine,
     TimedEquivalenceVerdict,
     TimedMachine,
     TimedState,
     Timeout,
+    Transition,
     abstract,
     abstract_state_name,
     canonical_bisimulation,
+    check_bisimulation,
     decode_tick_word,
     equivalent,
+    guards_disjoint,
     interval_set,
     max_constant,
     merge_guards,
@@ -44,12 +52,13 @@ from tfsm import (
     run,
     step,
     tfsm_equivalent,
+    validate_tfsm,
 )
-from tfsm.abstraction import admissible, input_moves, tick_successor
+from tfsm.abstraction import TickView, admissible
 from tfsm.fsm_algebra import _input_order, reachable
 from tfsm.refinement import _refine_state, is_time_progressive
 from conftest import budget
-from machine_gen import machine_pool, random_tfsm, random_time_progressive_fsm
+from machine_gen import machine_pool, random_tfsm, random_time_progressive_fsm, random_timed_word
 
 
 def scan_step(machine, config, symbol):
@@ -61,7 +70,7 @@ def scan_step(machine, config, symbol):
 
 
 def scan_input_moves(machine, state, interval):
-    """``input_moves`` by testing every transition's guard at the interval's representative."""
+    """The guarded moves on the whole interval, as (input, output, target), by testing every guard."""
     if not admissible(machine, state, interval):
         return []
     x = interval.representative()
@@ -194,6 +203,182 @@ def interval_canonical_bisimulation(machine, fsm):
                 pairs.add(pair)
                 queue.append(pair)
     return frozenset(pairs)
+
+
+def interval_check_bisimulation(machine, fsm, relation):
+    """``check_bisimulation`` over ``ClockInterval`` pairs, with the interval cases and the guard scan.
+
+    An interval outside the partition moves as the partition member of
+    its clock region.
+    """
+    n_max = max_constant(machine)
+    point0 = ClockInterval.point(0)
+    initial_pair = ((machine.initial, point0), fsm.initial)
+    if initial_pair not in relation:
+        return BisimCheck(False, 0, initial_pair, "initial configurations are not related")
+
+    def pair_key(pair):
+        (state, interval), r = pair
+        return (state, interval.region, r)
+
+    fsm_states = set(fsm.states)
+    edges_by_source = {}
+    for (source, i), edge in sorted(fsm.transitions.items()):
+        edges_by_source.setdefault(source, []).append((i, edge))
+
+    for pair in sorted(relation.pairs, key=pair_key):
+        (state, interval), r = pair
+        if state not in machine.timeouts:
+            return BisimCheck(False, None, pair, f"unknown timed state {state!r} in relation")
+        if r not in fsm_states:
+            return BisimCheck(False, None, pair, f"unknown untimed state {r!r} in relation")
+
+        member = ClockInterval.of_region(interval.region, n_max)
+        timed_tick = interval_tick_successor(machine, n_max, state, member)
+        tick_edge = fsm.transitions.get((r, TICK))
+        moves = scan_input_moves(machine, state, interval)
+
+        if timed_tick is not None:
+            if tick_edge is None:
+                return BisimCheck(
+                    False, 1, pair,
+                    f"time can pass in ({state},{interval}) but {r} has no tick transition",
+                )
+            if tick_edge[0] != TICK:
+                return BisimCheck(
+                    False, 1, pair,
+                    f"tick transition of {r} outputs {tick_edge[0]!r} instead of the tick symbol",
+                )
+            if (timed_tick, tick_edge[1]) not in relation:
+                return BisimCheck(
+                    False, 1, pair,
+                    f"delay successors ({timed_tick[0]},{timed_tick[1]}) and {tick_edge[1]} are not related",
+                )
+
+        if tick_edge is not None and tick_edge[0] == TICK:
+            if timed_tick is None:
+                return BisimCheck(
+                    False, 2, pair,
+                    f"{r} has a tick transition but no time can pass in ({state},{interval})",
+                )
+            if (timed_tick, tick_edge[1]) not in relation:
+                return BisimCheck(
+                    False, 2, pair,
+                    f"delay successors ({timed_tick[0]},{timed_tick[1]}) and {tick_edge[1]} are not related",
+                )
+
+        for i, o, target in moves:
+            edge = fsm.transitions.get((r, i))
+            if edge is None:
+                return BisimCheck(
+                    False, 3, pair,
+                    f"input {i} is enabled in ({state},{interval}) but {r} has no {i} transition",
+                )
+            if edge[0] != o:
+                return BisimCheck(
+                    False, 3, pair,
+                    f"input {i} outputs {o} in ({state},{interval}) but {edge[0]} at {r}",
+                )
+            if ((target, point0), edge[1]) not in relation:
+                return BisimCheck(
+                    False, 3, pair,
+                    f"successors ({target},{point0}) and {edge[1]} on input {i} are not related",
+                )
+
+        for i, (o, r2) in edges_by_source.get(r, ()):
+            if i == TICK:
+                if o != TICK:
+                    return BisimCheck(
+                        False, 4, pair,
+                        f"{r} answers the tick with output {o!r}, which no timed move matches",
+                    )
+                continue
+            match = next((m for m in moves if m[0] == i), None)
+            if match is None:
+                return BisimCheck(
+                    False, 4, pair,
+                    f"{r} consumes input {i} but no guard admits it in ({state},{interval})",
+                )
+            if match[1] != o:
+                return BisimCheck(
+                    False, 4, pair,
+                    f"input {i} outputs {o} at {r} but {match[1]} in ({state},{interval})",
+                )
+            if ((match[2], point0), r2) not in relation:
+                return BisimCheck(
+                    False, 4, pair,
+                    f"successors ({match[2]},{point0}) and {r2} on input {i} are not related",
+                )
+
+    return BisimCheck(True)
+
+
+def interval_merge_guards(machine):
+    """``merge_guards`` deciding touch and union by cases on endpoints and their closedness."""
+
+    def touching(g1, g2):
+        if g1.upper is None:
+            return True
+        if g2.lower < g1.upper:
+            return True
+        return g2.lower == g1.upper and (g1.upper_closed or g2.lower_closed)
+
+    def union(g1, g2):
+        if g1.upper is None or (g2.upper is not None and g2.upper < g1.upper):
+            upper, upper_closed = g1.upper, g1.upper_closed
+        elif g2.upper is None or g2.upper > g1.upper:
+            upper, upper_closed = g2.upper, g2.upper_closed
+        else:
+            upper, upper_closed = g1.upper, g1.upper_closed or g2.upper_closed
+        return Guard(g1.lower, upper, g1.lower_closed, upper_closed)
+
+    groups = {}
+    for t in machine.transitions:
+        groups.setdefault((t.source, t.input, t.output, t.target), []).append(t.guard)
+    merged_transitions = []
+    for (source, i, o, target), guards in groups.items():
+        guards.sort(key=lambda g: (g.lower, not g.lower_closed))
+        merged = [guards[0]]
+        for g in guards[1:]:
+            if touching(merged[-1], g):
+                merged[-1] = union(merged[-1], g)
+            else:
+                merged.append(g)
+        merged_transitions.extend(Transition(source, i, g, o, target) for g in merged)
+    return TimedMachine(
+        machine.states, machine.inputs, machine.outputs, machine.initial,
+        tuple(merged_transitions), machine.timeouts,
+    )
+
+
+def every_guard(top):
+    """Every guard whose finite endpoints are at most ``top``."""
+    for lower in range(top + 1):
+        for lower_closed in (True, False):
+            yield Guard(lower, None, lower_closed, False)
+            for upper in range(lower, top + 1):
+                for upper_closed in (True, False):
+                    if lower < upper or (lower_closed and upper_closed):
+                        yield Guard(lower, upper, lower_closed, upper_closed)
+
+
+def grid_regions(g):
+    """The regions whose half-integer point ``Fraction(k, 2)`` the guard contains, up to region 19.
+
+    Region 19 is past every endpoint up to 8, so this is exact for ``every_guard(8)``.
+    """
+    return [k for k in range(20) if g.contains(Fraction(k, 2))]
+
+
+def random_guard(rng, top):
+    lower = rng.randint(0, top)
+    lower_closed = rng.random() < 0.5
+    if rng.random() < 0.2:
+        return Guard(lower, None, lower_closed, False)
+    upper = rng.randint(lower, top)
+    if upper == lower:
+        return Guard.point(lower)
+    return Guard(lower, upper, lower_closed, rng.random() < 0.5)
 
 
 def prefix_equivalent(a, b):
@@ -338,9 +523,12 @@ def test_step_matches_the_linear_scan():
 def test_input_moves_match_the_guard_scan():
     compared = 0
     for machine in machine_pool():
+        view = TickView(machine)
         for s in machine.states:
-            for interval in interval_set(max_constant(machine)):
-                assert input_moves(machine, s, interval) == scan_input_moves(machine, s, interval), (
+            for interval in interval_set(view.n_max):
+                moves = [(i, edge) for i, edge in view.moves((s, interval.region)) if i != TICK]
+                scanned = scan_input_moves(machine, s, interval)
+                assert moves == [(i, (o, (target, 0))) for i, o, target in scanned], (
                     f"{machine}\nat ({s},{interval})"
                 )
                 compared += 1
@@ -350,16 +538,142 @@ def test_input_moves_match_the_guard_scan():
 def test_tick_successor_matches_the_interval_cases():
     compared = 0
     for machine in machine_pool():
-        n = max_constant(machine)
+        view = TickView(machine)
+        n = view.n_max
         for s in machine.states:
             for interval in interval_set(n):
-                succ = tick_successor(machine, n, s, interval)
-                assert succ == interval_tick_successor(machine, n, s, interval), f"{machine}\nat ({s},{interval})"
+                succ = view.get(((s, interval.region), TICK))
+                expected = interval_tick_successor(machine, n, s, interval)
+                if expected is not None:
+                    expected = (TICK, (expected[0], expected[1].region))
+                assert succ == expected, f"{machine}\nat ({s},{interval})"
                 assert (succ is not None) == admissible(machine, s, interval)
                 compared += 1
     assert compared > 10_000
 
 
+def test_guard_regions_round_trip_and_cover_exactly_the_guard():
+    guards = list(every_guard(8))
+    assert len(guards) == 171
+    for g in guards:
+        first, last = g.regions
+        assert Guard.of_regions(first, last) == g
+        assert grid_regions(g) == list(range(first, min(last, 19) + 1)), g
+
+
+def test_guards_disjoint_matches_the_half_integer_grid():
+    covered = {g: set(grid_regions(g)) for g in every_guard(8)}
+    for g1, points1 in covered.items():
+        for g2, points2 in covered.items():
+            assert guards_disjoint(g1, g2) == points1.isdisjoint(points2), (g1, g2)
+
+
+def test_timeout_fit_matches_the_half_integer_grid():
+    for g in every_guard(8):
+        covered = grid_regions(g)
+        for bound in range(1, 10):
+            machine = TimedMachine(
+                ("s",), ("i",), ("o",), "s",
+                (Transition("s", "i", g, "o", "s"),), {"s": Timeout(bound, "s")},
+            )
+            reported = any("not below the timeout bound" in p for p in validate_tfsm(machine))
+            assert reported == any(k >= 2 * bound for k in covered), (g, bound)
+
+
+def test_merge_guards_matches_the_endpoint_cases_on_refined_machines():
+    # The 200 tick machines of the refinement criterion: the same seed, and
+    # the same 20 words drawn after each machine, so the same machines.
+    rng = random.Random(16180)
+    merged = 0
+    for _ in range(200):
+        fsm = random_time_progressive_fsm(rng)
+        unmerged = refine(fsm, merge=False)
+        fast = merge_guards(unmerged)
+        assert fast == interval_merge_guards(unmerged), f"{fsm}"
+        assert fast == refine(fsm)
+        merged += len(unmerged.transitions) - len(fast.transitions)
+        for _ in range(20):
+            random_timed_word(rng, fast.inputs)
+    assert merged > 0
+
+
+def test_merge_guards_matches_the_endpoint_cases_on_random_guard_lists():
+    rng = random.Random(235711)
+    merged = 0
+    for _ in range(3000):
+        # Overlapping, nested, touching and repeated guards, in two groups per target.
+        transitions = tuple(
+            Transition("s", "i", random_guard(rng, 8), rng.choice(("o1", "o2")), rng.choice(("s", "t")))
+            for _ in range(rng.randint(1, 6))
+        )
+        machine = TimedMachine(
+            ("s", "t"), ("i",), ("o1", "o2"), "s", transitions, {"s": Timeout(None), "t": Timeout(None)},
+        )
+        fast = merge_guards(machine)
+        assert fast == interval_merge_guards(machine), f"{machine}"
+        merged += len(machine.transitions) - len(fast.transitions)
+    assert merged > 0
+
+
+def bisimulation_variants(machine, fsm, rng):
+    """Relations near the canonical one: itself, drops, redirects, intervals outside the partition, unknown states."""
+    base = canonical_bisimulation(machine, fsm).pairs
+    yield base
+    n = max_constant(machine)
+    outside = [ClockInterval.open(n), ClockInterval.point(n + 2)]
+    if n > 0:
+        outside.append(ClockInterval.tail(n - 1))
+    ordered = sorted(base, key=lambda p: (p[0][0], p[0][1].region, p[1]))
+    for pair in rng.sample(ordered, min(len(ordered), 6)):
+        (state, interval), r = pair
+        dropped = base - {pair}
+        yield dropped
+        yield dropped | {((state, interval), rng.choice(fsm.states))}
+        for other in outside:
+            yield base | {((state, other), r)}
+            yield dropped | {((state, other), r)}
+        yield base | {(("ghost", interval), r)}
+        yield base | {((state, interval), "ghost")}
+
+
+def dead_tick_variants(machine, rng):
+    """The full abstraction with a tick edge added at an inadmissible configuration, related to it."""
+    full = abstract(machine, keep_unreachable=True)
+    n = max_constant(machine)
+    dead = [(s, iv) for s in machine.states for iv in interval_set(n) if not admissible(machine, s, iv)]
+    for config in rng.sample(dead, min(len(dead), 2)):
+        name = abstract_state_name(*config)
+        # A tick answered with the tick, then with an ordinary output.
+        for output in (TICK, machine.outputs[0]):
+            transitions = dict(full.transitions)
+            transitions[(name, TICK)] = (output, name)
+            fsm = MealyMachine(full.states, full.inputs, full.outputs, full.initial, transitions)
+            yield fsm, canonical_bisimulation(machine, fsm).pairs | {(config, name)}
+
+
+def test_check_bisimulation_matches_the_interval_checker():
+    rng = random.Random(1414213)
+    pool = machine_pool()[:80]
+    verdicts = {}
+    for machine, other in zip(pool, pool[1:] + pool[:1]):
+        # Its own abstraction, and another machine's, where more pairs fail.
+        cases = [
+            (fsm, pairs)
+            for fsm in (abstract(machine), abstract(other))
+            for pairs in bisimulation_variants(machine, fsm, rng)
+        ]
+        cases += dead_tick_variants(machine, rng)
+        for fsm, pairs in cases:
+            relation = BisimRelation(pairs)
+            fast = check_bisimulation(machine, fsm, relation)
+            assert fast == interval_check_bisimulation(machine, fsm, relation), f"{machine}\n{sorted(pairs, key=str)}"
+            kind = (fast.ok, fast.condition)
+            verdicts[kind] = verdicts.get(kind, 0) + 1
+    # Acceptance, each of the five conditions and the unknown-state reports must all occur.
+    assert set(verdicts) == {(True, None), (False, None), (False, 0), (False, 1), (False, 2), (False, 3), (False, 4)}, (
+        verdicts
+    )
+    assert sum(verdicts.values()) > 5_000
 @pytest.mark.parametrize("merge", [True, False])
 def test_refine_matches_the_eager_loop_on_intersections(merge):
     rng = random.Random(173205)

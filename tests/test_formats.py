@@ -217,6 +217,16 @@ class TestDispatch:
         # End of file is reported on the last line, comments and blank lines included.
         assert located[:3] == [(3, 1), (5, 1), (3, 1)]
 
+    @pytest.mark.parametrize("kind", ["tfsm", "fsm"])
+    @pytest.mark.parametrize("names", ["", " a b"])
+    def test_header_without_exactly_one_name_is_located_at_its_line(self, kind, names):
+        text = f"# c\n\n   {kind}{names}\ninputs i\n"
+        parse = parse_tfsm if kind == "tfsm" else parse_fsm
+        for call in (parse, parse_document):
+            err = error_of(call, text)
+            assert str(err) == f"line 3, column 4: usage: {kind} NAME"
+            assert (err.line, err.column) == (3, 4)
+
 
 class TestSerialize:
     def test_roundtrip_is_the_identity_on_the_corpus(self):
