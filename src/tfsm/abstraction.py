@@ -22,13 +22,12 @@ synchronized search, and :func:`check_bisimulation` verifies an arbitrary
 relation, reporting which of the four matching conditions breaks first.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from operator import itemgetter
 
-from .core import MealyMachine, TimedMachine, TICK
+from .core import MealyMachine, TimedMachine, TICK, breadth_first
 from .semantics import tick_encode_delay
 
 _KINDS = ("point", "open", "tail")
@@ -190,41 +189,37 @@ def admissible(machine: TimedMachine, state: str, interval: ClockInterval) -> bo
 def abstract(machine: TimedMachine, keep_unreachable: bool = False) -> MealyMachine:
     """The untimed Mealy machine simulating ``machine`` tick by tick.
 
-    A breadth-first search of :class:`TickView` that names each
-    configuration when it first reaches it.  By default only configurations
-    reachable from (initial, [0,0]) become states.  With ``keep_unreachable``
-    every (state, interval) pair is kept, the inadmissible ones as dead
-    states with no outgoing transitions.  The machine must pass
+    A breadth-first search of :class:`TickView` that names configurations
+    in discovery order.  By default only configurations reachable from
+    (initial, [0,0]) become states.  With ``keep_unreachable`` every
+    (state, interval) pair is kept, the inadmissible ones as dead states
+    with no outgoing transitions.  The machine must pass
     :func:`~tfsm.core.validate_tfsm`: guarded moves are looked up in
     :meth:`~tfsm.core.TimedMachine.guard_index`, which needs disjoint guards.
     """
     view = TickView(machine)
-
-    def name(config):
-        return abstract_state_name(config[0], ClockInterval.of_region(config[1], view.n_max))
-
     start = view.initial
     if keep_unreachable:
         configs = [(s, k) for s in machine.states for k in range(2 * view.n_max + 2)]
     else:
         configs = [start]
-    names = {config: name(config) for config in configs}
-    queue = deque(configs)
-    transitions = {}
-    while queue:
-        config = queue.popleft()
-        source = names[config]
+    edges = []
+
+    def successors(config):
         for i, (o, succ) in view.moves(config):
-            if succ not in names:
-                names[succ] = name(succ)
-                queue.append(succ)
-            transitions[(source, i)] = (o, names[succ])
+            edges.append((config, i, o, succ))
+            yield succ
+
+    names = {
+        config: abstract_state_name(config[0], ClockInterval.of_region(config[1], view.n_max))
+        for config in breadth_first(configs, successors)
+    }
     return MealyMachine(
         states=tuple(names.values()),
         inputs=view.inputs,
         outputs=view.outputs,
         initial=names[start],
-        transitions=transitions,
+        transitions={(names[config], i): (o, names[succ]) for config, i, o, succ in edges},
     )
 
 
@@ -276,19 +271,15 @@ def canonical_bisimulation(machine: TimedMachine, fsm: MealyMachine) -> BisimRel
     that does not, :func:`check_bisimulation` pinpoints the mismatch.
     """
     view = TickView(machine)
-    start = (view.initial, fsm.initial)
-    pairs = {start}
-    queue = deque([start])
-    while queue:
-        config, r = queue.popleft()
+
+    def successors(pair):
+        config, r = pair
         for i, (_, succ) in view.moves(config):
             fsm_edge = fsm.transitions.get((r, i))
-            if fsm_edge is None:
-                continue
-            pair = (succ, fsm_edge[1])
-            if pair not in pairs:
-                pairs.add(pair)
-                queue.append(pair)
+            if fsm_edge is not None:
+                yield (succ, fsm_edge[1])
+
+    pairs = breadth_first([(view.initial, fsm.initial)], successors)
     return BisimRelation(frozenset(((s, ClockInterval.of_region(k, view.n_max)), r) for (s, k), r in pairs))
 
 
@@ -304,18 +295,15 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
     """
     view = TickView(machine)
     n_max = view.n_max
-    partition = {(interval.kind, interval.n): interval.region for interval in interval_set(n_max)}
     sweep = []
     related = set()
     for pair in relation.pairs:
         (state, interval), r = pair
-        k = partition.get((interval.kind, interval.n))
-        if k is None:
-            # Swept at its region, but never related: every successor is a
-            # partition member, and open(N) shares its region with tail(N).
-            sweep.append((state, interval.region, r, pair))
-        else:
-            sweep.append((state, k, r, pair))
+        k = interval.region
+        sweep.append((state, k, r, pair))
+        # Only partition members are related: every successor is one, and
+        # open(N) shares its region with tail(N).  The rest are still swept.
+        if (interval.n == n_max) if interval.kind == "tail" else (k <= 2 * n_max):
             related.add(((state, k), r))
     if ((machine.initial, 0), fsm.initial) not in related:
         initial_pair = ((machine.initial, ClockInterval.point(0)), fsm.initial)

@@ -15,7 +15,7 @@ from pathlib import Path
 from .abstraction import abstract
 from .core import MealyMachine, TimedMachine, TimedWord, validate_fsm, validate_tfsm
 from .export import export_dot, export_timed_automaton
-from .formats import MachineDocument, ParseError, parse_document, serialize
+from .formats import MachineDocument, parse_document, serialize
 from .fsm_algebra import equivalent, minimize, product
 from .pipelines import tfsm_equivalent, tfsm_intersect
 from .refinement import refine
@@ -244,8 +244,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        return _fail(str(exc))
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
 

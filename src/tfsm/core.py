@@ -194,9 +194,6 @@ class TimedMachine:
 
         object.__setattr__(self, "transitions", tuple(sorted(self.transitions, key=key)))
 
-    def transitions_from(self, state: str) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.source == state)
-
     def guard_index(self) -> dict:
         """The guards of each (state, input) as clock-region ranges, built on first use.
 
@@ -467,3 +464,19 @@ def validate_fsm(machine: MealyMachine) -> list[str]:
         if o not in output_set:
             problems.append(f"transition ({s}, {i}) uses undeclared output {o!r}")
     return problems
+
+
+def breadth_first(starts, successors) -> list:
+    """The nodes reachable from ``starts`` in breadth-first discovery order, repeated starts once.
+
+    ``successors(node)`` is called once per node, in that order, so a search
+    that needs its edges records them there.  The returned list is the queue.
+    """
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
+    for node in order:
+        for succ in successors(node):
+            if succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+    return order

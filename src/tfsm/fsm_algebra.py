@@ -8,15 +8,17 @@ product (intersection) keeps a move exactly when both machines make it with
 the same output, so its behavior is the largest common behavior of the two.
 
 Equivalence, product and reachability are breadth-first searches, which
-keep counterexamples shortest and state numbering stable.  Minimization is
-Hopcroft's n log n partition refinement; its classes keep the names and
+keep counterexamples shortest and state numbering stable.  Equivalence
+keeps its own queue, since it stops at the first mismatch and keeps parent
+pointers; the others share :func:`~tfsm.core.breadth_first`.  Minimization
+is Hopcroft's n log n partition refinement; its classes keep the names and
 the order of their first members.
 """
 
 from collections import deque
 from dataclasses import dataclass
 
-from .core import MealyMachine
+from .core import MealyMachine, breadth_first
 
 OUTPUT_MISMATCH = "OUTPUT_MISMATCH"
 DEFINEDNESS_MISMATCH = "DEFINEDNESS_MISMATCH"
@@ -94,12 +96,10 @@ def _counterexample(parents, pair, i, ea, eb) -> Counterexample:
     )
 
 
-def product(a: MealyMachine, b: MealyMachine, renumber: bool = True) -> MealyMachine:
+def product(a: MealyMachine, b: MealyMachine) -> MealyMachine:
     """The intersection machine: moves both machines make with equal output.
 
-    Only reachable pairs become states.  With ``renumber`` (the default)
-    states are named 0, 1, 2, ... in discovery order; otherwise they keep
-    the pair shape ``(left|right)``.
+    Only reachable pairs become states, named 0, 1, 2, ... in discovery order.
     """
     if set(a.inputs) != set(b.inputs):
         only_a = sorted(set(a.inputs) - set(b.inputs))
@@ -108,13 +108,9 @@ def product(a: MealyMachine, b: MealyMachine, renumber: bool = True) -> MealyMac
             f"input alphabets differ: {only_a or '-'} only in the first machine, "
             f"{only_b or '-'} only in the second"
         )
-    start = (a.initial, b.initial)
-    order = [start]
-    seen = {start}
     edges = {}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
+
+    def successors(pair):
         sa, sb = pair
         for i in a.inputs:
             ea = a.transitions.get((sa, i))
@@ -123,14 +119,11 @@ def product(a: MealyMachine, b: MealyMachine, renumber: bool = True) -> MealyMac
                 continue
             succ = (ea[1], eb[1])
             edges[(pair, i)] = (ea[0], succ)
-            if succ not in seen:
-                seen.add(succ)
-                order.append(succ)
-                queue.append(succ)
-    if renumber:
-        names = {pair: str(k) for k, pair in enumerate(order)}
-    else:
-        names = {pair: f"({pair[0]}|{pair[1]})" for pair in order}
+            yield succ
+
+    start = (a.initial, b.initial)
+    order = breadth_first([start], successors)
+    names = {pair: str(k) for k, pair in enumerate(order)}
     outputs = a.outputs + tuple(o for o in b.outputs if o not in a.outputs)
     return MealyMachine(
         states=tuple(names[pair] for pair in order),
@@ -141,17 +134,21 @@ def product(a: MealyMachine, b: MealyMachine, renumber: bool = True) -> MealyMac
     )
 
 
+def _targets(fsm: MealyMachine, inputs):
+    """The successor function of ``fsm``'s transition graph, reading ``inputs`` in order."""
+
+    def targets(s):
+        for i in inputs:
+            edge = fsm.transitions.get((s, i))
+            if edge is not None:
+                yield edge[1]
+
+    return targets
+
+
 def reachable(fsm: MealyMachine) -> MealyMachine:
     """Restrict to the states reachable from the initial state."""
-    seen = {fsm.initial}
-    queue = deque([fsm.initial])
-    while queue:
-        s = queue.popleft()
-        for i in fsm.inputs:
-            edge = fsm.transitions.get((s, i))
-            if edge is not None and edge[1] not in seen:
-                seen.add(edge[1])
-                queue.append(edge[1])
+    seen = set(breadth_first([fsm.initial], _targets(fsm, fsm.inputs)))
     states = tuple(s for s in fsm.states if s in seen)
     return MealyMachine(
         states=states,
@@ -244,17 +241,8 @@ def canonical_fsm(fsm: MealyMachine) -> MealyMachine:
     canonical forms exactly when their reachable parts are isomorphic.
     """
     inputs = tuple(sorted(fsm.inputs))
-    names = {fsm.initial: "0"}
-    order = [fsm.initial]
-    queue = deque([fsm.initial])
-    while queue:
-        s = queue.popleft()
-        for i in inputs:
-            edge = fsm.transitions.get((s, i))
-            if edge is not None and edge[1] not in names:
-                names[edge[1]] = str(len(names))
-                order.append(edge[1])
-                queue.append(edge[1])
+    order = breadth_first([fsm.initial], _targets(fsm, inputs))
+    names = {s: str(k) for k, s in enumerate(order)}
     return MealyMachine(
         states=tuple(names[s] for s in order),
         inputs=inputs,

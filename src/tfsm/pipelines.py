@@ -11,12 +11,11 @@ ticks stands for half its length in time units -- and is confirmed by
 actually running both timed machines.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .abstraction import TickView, abstract
-from .core import TimedMachine, TimedWord, Timeout, Transition, TICK
+from .core import TimedMachine, TimedWord, Timeout, Transition, TICK, breadth_first
 from .fsm_algebra import DEFINEDNESS_MISMATCH, OUTPUT_MISMATCH, equivalent, product
 from .refinement import refine
 from .semantics import run
@@ -111,20 +110,15 @@ def canonical_tfsm(machine: TimedMachine) -> TimedMachine:
     alphabets are sorted.  Equal canonical forms mean isomorphic reachable
     parts, including guards and timeouts.
     """
-    names = {machine.initial: "0"}
-    order = [machine.initial]
-    queue = deque([machine.initial])
-    while queue:
-        s = queue.popleft()
-        targets = [t.target for t in machine.transitions_from(s)]
-        timeout = machine.timeouts[s]
-        if timeout.target is not None:
-            targets.append(timeout.target)
-        for target in targets:
-            if target not in names:
-                names[target] = str(len(names))
-                order.append(target)
-                queue.append(target)
+    index, timeouts = machine.guard_index(), machine.timeouts
+
+    def targets(s):
+        yield from (t.target for _, _, group in index.get(s, {}).values() for t in group)
+        if timeouts[s].target is not None:
+            yield timeouts[s].target
+
+    order = breadth_first([machine.initial], targets)
+    names = {s: str(k) for k, s in enumerate(order)}
     return TimedMachine(
         states=tuple(names[s] for s in order),
         inputs=tuple(sorted(machine.inputs)),
@@ -135,11 +129,5 @@ def canonical_tfsm(machine: TimedMachine) -> TimedMachine:
             for t in machine.transitions
             if t.source in names
         ),
-        timeouts={
-            names[s]: Timeout(
-                machine.timeouts[s].bound,
-                names[machine.timeouts[s].target] if machine.timeouts[s].target is not None else None,
-            )
-            for s in order
-        },
+        timeouts={names[s]: Timeout(timeouts[s].bound, names.get(timeouts[s].target)) for s in order},
     )

@@ -20,10 +20,9 @@ pass, i.e. carry a tick transition that outputs the tick.  States violating
 that are reported by :func:`is_time_progressive`.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
-from .core import Guard, MealyMachine, TimedMachine, Timeout, Transition, TICK
+from .core import Guard, MealyMachine, TimedMachine, Timeout, Transition, TICK, breadth_first
 
 
 @dataclass(frozen=True)
@@ -93,18 +92,15 @@ def refine(fsm: MealyMachine, merge: bool = True) -> TimedMachine:
         if i != TICK and o == TICK:
             raise ValueError(f"input {i} at state {s} outputs the tick symbol; cannot be a guarded move")
 
-    # Only states reachable in the result are walked: each is refined when
-    # a refined transition or timeout first reaches it.
-    refined = {fsm.initial: _refine_state(fsm, fsm.initial)}
-    queue = deque([fsm.initial])
-    while queue:
-        s = queue.popleft()
-        transitions, timeout = refined[s]
-        targets = [t.target for t in transitions] + [timeout.target]
-        for target in targets:
-            if target is not None and target not in refined:
-                refined[target] = _refine_state(fsm, target)
-                queue.append(target)
+    # Only states reachable in the result are walked: breadth_first visits
+    # each once, and its refined transitions and timeout are its successors.
+    refined = {}
+
+    def targets(s):
+        transitions, timeout = refined[s] = _refine_state(fsm, s)
+        return [t.target for t in transitions] + [timeout.target]
+
+    breadth_first([fsm.initial], targets)
 
     states = tuple(s for s in fsm.states if s in refined)
     machine = TimedMachine(

@@ -5,13 +5,15 @@ machine's index of clock regions, ``refine`` walks only the states its
 result reaches, ``minimize`` refines partitions by Hopcroft's algorithm,
 ``abstract``, ``tfsm_equivalent`` and ``check_bisimulation`` read the tick
 abstraction on integer clock regions, the first two without building it,
-``equivalent`` keeps one parent pointer per pair, and ``merge_guards``
-joins guards as ranges of clock regions.  The functions below are the
-earlier linear guard scans, the eager refinement loop, the Moore-round
-minimization, the abstraction and the bisimulation checker over clock
-intervals, the equivalence search that carries a prefix per pair and the
-guard merge by cases on endpoints, kept as references: the fast paths must
-return equal results, in equal order.
+``equivalent`` keeps one parent pointer per pair, ``merge_guards``
+joins guards as ranges of clock regions, and ``product``, ``reachable``,
+``canonical_fsm`` and ``canonical_tfsm`` search through the shared
+``breadth_first``.  The functions below are the earlier linear guard scans,
+the eager refinement loop, the Moore-round minimization, the abstraction
+and the bisimulation checker over clock intervals, the equivalence search
+that carries a prefix per pair, the guard merge by cases on endpoints and
+the searches with their own deque loops, kept as references: the fast
+paths must return equal results, in equal order.
 """
 
 import random
@@ -39,6 +41,8 @@ from tfsm import (
     abstract,
     abstract_state_name,
     canonical_bisimulation,
+    canonical_fsm,
+    canonical_tfsm,
     check_bisimulation,
     decode_tick_word,
     equivalent,
@@ -55,6 +59,7 @@ from tfsm import (
     validate_tfsm,
 )
 from tfsm.abstraction import TickView, admissible
+from tfsm.core import breadth_first
 from tfsm.fsm_algebra import _input_order, reachable
 from tfsm.refinement import _refine_state, is_time_progressive
 from conftest import budget
@@ -493,6 +498,123 @@ def assert_minimize_matches_moore(fsm):
     return len(reachable(fsm).states) - len(fast.states)
 
 
+def deque_product(a, b):
+    """``product`` with its own deque loop."""
+    start = (a.initial, b.initial)
+    order = [start]
+    seen = {start}
+    edges = {}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        sa, sb = pair
+        for i in a.inputs:
+            ea = a.transitions.get((sa, i))
+            eb = b.transitions.get((sb, i))
+            if ea is None or eb is None or ea[0] != eb[0]:
+                continue
+            succ = (ea[1], eb[1])
+            edges[(pair, i)] = (ea[0], succ)
+            if succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+                queue.append(succ)
+    names = {pair: str(k) for k, pair in enumerate(order)}
+    outputs = a.outputs + tuple(o for o in b.outputs if o not in a.outputs)
+    return MealyMachine(
+        states=tuple(names[pair] for pair in order),
+        inputs=a.inputs,
+        outputs=outputs,
+        initial=names[start],
+        transitions={(names[pair], i): (o, names[succ]) for (pair, i), (o, succ) in edges.items()},
+    )
+
+
+def deque_reachable(fsm):
+    """``reachable`` with its own deque loop."""
+    seen = {fsm.initial}
+    queue = deque([fsm.initial])
+    while queue:
+        s = queue.popleft()
+        for i in fsm.inputs:
+            edge = fsm.transitions.get((s, i))
+            if edge is not None and edge[1] not in seen:
+                seen.add(edge[1])
+                queue.append(edge[1])
+    return MealyMachine(
+        states=tuple(s for s in fsm.states if s in seen),
+        inputs=fsm.inputs,
+        outputs=fsm.outputs,
+        initial=fsm.initial,
+        transitions={(s, i): e for (s, i), e in fsm.transitions.items() if s in seen},
+    )
+
+
+def deque_canonical_fsm(fsm):
+    """``canonical_fsm`` with its own deque loop, naming states as it reaches them."""
+    inputs = tuple(sorted(fsm.inputs))
+    names = {fsm.initial: "0"}
+    order = [fsm.initial]
+    queue = deque([fsm.initial])
+    while queue:
+        s = queue.popleft()
+        for i in inputs:
+            edge = fsm.transitions.get((s, i))
+            if edge is not None and edge[1] not in names:
+                names[edge[1]] = str(len(names))
+                order.append(edge[1])
+                queue.append(edge[1])
+    return MealyMachine(
+        states=tuple(names[s] for s in order),
+        inputs=inputs,
+        outputs=tuple(sorted(fsm.outputs)),
+        initial="0",
+        transitions={(names[s], i): (o, names[t]) for (s, i), (o, t) in fsm.transitions.items() if s in names},
+    )
+
+
+def deque_canonical_tfsm(machine):
+    """``canonical_tfsm`` with its own deque loop, scanning all transitions for each state's targets."""
+    names = {machine.initial: "0"}
+    order = [machine.initial]
+    queue = deque([machine.initial])
+    while queue:
+        s = queue.popleft()
+        targets = [t.target for t in machine.transitions if t.source == s]
+        timeout = machine.timeouts[s]
+        if timeout.target is not None:
+            targets.append(timeout.target)
+        for target in targets:
+            if target not in names:
+                names[target] = str(len(names))
+                order.append(target)
+                queue.append(target)
+    return TimedMachine(
+        states=tuple(names[s] for s in order),
+        inputs=tuple(sorted(machine.inputs)),
+        outputs=tuple(sorted(machine.outputs)),
+        initial="0",
+        transitions=tuple(
+            Transition(names[t.source], t.input, t.guard, t.output, names[t.target])
+            for t in machine.transitions
+            if t.source in names
+        ),
+        timeouts={
+            names[s]: Timeout(
+                machine.timeouts[s].bound,
+                names[machine.timeouts[s].target] if machine.timeouts[s].target is not None else None,
+            )
+            for s in order
+        },
+    )
+
+
+def assert_same_fsm(fast, slow):
+    """Equal machines, with states and transitions in equal order."""
+    assert fast == slow
+    assert list(fast.transitions.items()) == list(slow.transitions.items())
+
+
 def clock_values(n, rng):
     """Each integer up to past ``n``, each open-interval midpoint, far past ``n``, and random rationals."""
     values = [Fraction(k) for k in range(n + 3)]
@@ -814,3 +936,64 @@ def test_canonical_bisimulation_matches_the_interval_search():
         for fsm in (abstract(machine), abstract(other)):
             relation = canonical_bisimulation(machine, fsm)
             assert relation.pairs == interval_canonical_bisimulation(machine, fsm), f"{machine}"
+
+
+def test_breadth_first_visits_each_node_once_in_discovery_order():
+    graph = {0: [1, 2], 1: [3, 0], 2: [3, 4], 3: [0], 4: [4], 5: [0]}
+    calls = []
+
+    def successors(node):
+        calls.append(node)
+        return graph[node]
+
+    # A repeated start counts once; 5 is never reached.
+    order = breadth_first([2, 0, 2], successors)
+    assert order == [2, 0, 3, 4, 1]
+    assert calls == order
+    assert breadth_first([], successors) == []
+
+
+def criterion_pairs(seed, count):
+    """Pairs of random timed machines over one input alphabet, as the intersection criterion draws them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        inputs = tuple(f"i{k + 1}" for k in range(rng.randint(1, 2)))
+        yield random_tfsm(rng, inputs=inputs), random_tfsm(rng, inputs=inputs)
+
+
+@pytest.mark.parametrize("keep_unreachable", [False, True])
+def test_reachable_and_canonical_fsm_match_the_deque_loops(keep_unreachable):
+    dropped = 0
+    for machine in machine_pool():
+        fsm = abstract(machine, keep_unreachable=keep_unreachable)
+        for m in (fsm, minimize(fsm)):
+            fast = reachable(m)
+            assert_same_fsm(fast, deque_reachable(m))
+            assert_same_fsm(canonical_fsm(m), deque_canonical_fsm(m))
+            dropped += len(m.states) - len(fast.states)
+    # Unreachable states must occur exactly when they are kept.
+    assert (dropped > 0) == keep_unreachable
+
+
+def test_product_matches_the_deque_loop():
+    sizes = set()
+    for a, b in criterion_pairs(14142, 100):
+        fa, fb = abstract(a), abstract(b)
+        for left, right in ((fa, fb), (fa, minimize(fa)), (minimize(fb), fa)):
+            meet = product(left, right)
+            assert_same_fsm(meet, deque_product(left, right))
+            sizes.add(len(meet.states))
+    assert len(sizes) > 20
+
+
+def test_canonical_tfsm_matches_the_deque_loop():
+    machines = list(machine_pool())
+    machines += [refine(product(abstract(a), abstract(b))) for a, b in criterion_pairs(173205, 100)]
+    dropped = 0
+    for machine in machines:
+        fast, slow = canonical_tfsm(machine), deque_canonical_tfsm(machine)
+        assert fast == slow, f"{machine}"
+        assert list(fast.timeouts.items()) == list(slow.timeouts.items())
+        dropped += len(machine.states) - len(fast.states)
+    # Unreachable states must occur, or the search is not exercised.
+    assert dropped > 0

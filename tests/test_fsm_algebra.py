@@ -112,11 +112,6 @@ class TestProduct:
         assert meet.initial == "0"
         assert set(meet.states) == {"0", "1"}
 
-    def test_pair_names_without_renumbering(self):
-        meet = product(FLIP, FLIP, renumber=False)
-        assert meet.initial == "(a|a)"
-        assert set(meet.states) == {"(a|a)", "(b|b)"}
-
     def test_product_of_the_tick_abstractions(self, handover, blinker, handover_blinker_product):
         meet = product(abstract(handover), abstract(blinker))
         assert len(meet.states) == 13
