@@ -43,36 +43,28 @@ def is_time_progressive(fsm: MealyMachine) -> TimeProgressReport:
     return TimeProgressReport(not offenders, tuple(offenders))
 
 
-def _user_moves(fsm: MealyMachine, state: str):
-    for i in fsm.user_inputs:
-        edge = fsm.transitions.get((state, i))
-        if edge is not None:
-            yield i, edge[0], edge[1]
-
-
 def _refine_state(fsm: MealyMachine, start: str):
     """Delay-walk one state into its guarded transitions and timeout."""
+    inputs, edges = fsm.user_inputs, fsm.transitions
     transitions = []
     marked = {start}
     state = start
     position = 0
+    closing = False
     while True:
-        guard = Guard.of_regions(position, position)
-        for i, o, target in _user_moves(fsm, state):
-            transitions.append(Transition(start, i, guard, o, target))
-        nxt = fsm.transitions[(state, TICK)][1]
+        moves = [(i, edge) for i in inputs if (edge := edges.get((state, i))) is not None]
+        if moves:
+            guard = Guard.of_regions(position, position)
+            transitions.extend(Transition(start, i, guard, o, target) for i, (o, target) in moves)
+        nxt = edges[(state, TICK)][1]
         position += 1
-        if nxt in marked:
-            n, parity = divmod(position, 2)
-            if parity == 0:
-                return transitions, Timeout(n, nxt)
+        if closing or nxt in marked:
+            if position % 2 == 0:
+                return transitions, Timeout(position // 2, nxt)
             # Exit inside (n,n+1): inputs of the revisited state are still
             # acceptable until the clock reaches n+1, then time out to its
             # own tick successor.
-            guard = Guard.of_regions(position, position)
-            for i, o, target in _user_moves(fsm, nxt):
-                transitions.append(Transition(start, i, guard, o, target))
-            return transitions, Timeout(n + 1, fsm.transitions[(nxt, TICK)][1])
+            closing = True
         marked.add(nxt)
         state = nxt
 
@@ -83,6 +75,8 @@ def refine(fsm: MealyMachine, merge: bool = True) -> TimedMachine:
     States unreachable in the result are dropped (reachability counts both
     transition targets and timeout targets).  Unless ``merge`` is false,
     guards of same-labelled transitions that touch are merged afterwards.
+    The machine must pass :func:`~tfsm.core.validate_fsm`: a tick edge into
+    an undeclared state makes the delay walk raise ``KeyError``.
     """
     progress = is_time_progressive(fsm)
     if not progress.ok:

@@ -2,23 +2,30 @@
 
 ``step`` and the tick view's input moves find a guard by bisection in the
 machine's index of clock regions, ``refine`` walks only the states its
-result reaches, ``minimize`` refines partitions by Hopcroft's algorithm,
+result reaches, and its delay walk builds a guard only at a tick where
+some input is defined and takes an exit inside (n,n+1) as one more turn of
+its loop, ``minimize`` refines partitions by Hopcroft's algorithm,
 ``abstract``, ``tfsm_equivalent`` and ``check_bisimulation`` read the tick
 abstraction on integer clock regions, the first two without building it,
 ``equivalent`` keeps one parent pointer per pair, ``merge_guards``
 joins guards as ranges of clock regions, and ``product``, ``reachable``,
 ``canonical_fsm`` and ``canonical_tfsm`` search through the shared
 ``breadth_first``.  The functions below are the earlier linear guard scans,
-the eager refinement loop, the Moore-round minimization, the abstraction
-and the bisimulation checker over clock intervals, the equivalence search
-that carries a prefix per pair, the guard merge by cases on endpoints and
-the searches with their own deque loops, kept as references: the fast
-paths must return equal results, in equal order.
+the eager refinement loop over the tick-by-tick delay walk, the
+Moore-round minimization, the abstraction and the bisimulation checker
+over clock intervals, the equivalence search that carries a prefix per
+pair, the guard merge by cases on endpoints and the searches with their
+own deque loops, kept as references: the fast paths must return equal
+results, in equal order.
 """
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +93,37 @@ def scan_input_moves(machine, state, interval):
     return moves
 
 
+def _user_moves(fsm, state):
+    for i in fsm.user_inputs:
+        edge = fsm.transitions.get((state, i))
+        if edge is not None:
+            yield i, edge[0], edge[1]
+
+
+def tick_by_tick_refine_state(fsm, start):
+    """``_refine_state`` with a guard per tick and its own emission for an exit inside (n,n+1)."""
+    transitions = []
+    marked = {start}
+    state = start
+    position = 0
+    while True:
+        guard = Guard.of_regions(position, position)
+        for i, o, target in _user_moves(fsm, state):
+            transitions.append(Transition(start, i, guard, o, target))
+        nxt = fsm.transitions[(state, TICK)][1]
+        position += 1
+        if nxt in marked:
+            n, parity = divmod(position, 2)
+            if parity == 0:
+                return transitions, Timeout(n, nxt)
+            guard = Guard.of_regions(position, position)
+            for i, o, target in _user_moves(fsm, nxt):
+                transitions.append(Transition(start, i, guard, o, target))
+            return transitions, Timeout(n + 1, fsm.transitions[(nxt, TICK)][1])
+        marked.add(nxt)
+        state = nxt
+
+
 def eager_refine(fsm, merge=True):
     """``refine`` walking every state first, then dropping those the result does not reach."""
     progress = is_time_progressive(fsm)
@@ -96,7 +134,7 @@ def eager_refine(fsm, merge=True):
         if i != TICK and o == TICK:
             raise ValueError(f"input {i} at state {s} outputs the tick symbol; cannot be a guarded move")
 
-    refined = {s: _refine_state(fsm, s) for s in fsm.states}
+    refined = {s: tick_by_tick_refine_state(fsm, s) for s in fsm.states}
 
     reachable = {fsm.initial}
     queue = [fsm.initial]
@@ -224,7 +262,7 @@ def interval_check_bisimulation(machine, fsm, relation):
 
     def pair_key(pair):
         (state, interval), r = pair
-        return (state, interval.region, r)
+        return (state, interval.region, r, interval.kind)
 
     fsm_states = set(fsm.states)
     edges_by_source = {}
@@ -798,19 +836,69 @@ def test_check_bisimulation_matches_the_interval_checker():
     assert sum(verdicts.values()) > 5_000
 @pytest.mark.parametrize("merge", [True, False])
 def test_refine_matches_the_eager_loop_on_intersections(merge):
-    rng = random.Random(173205)
+    rng = random.Random(264575)
+    # Two independent pairs at N=32, whose products have about a thousand states.
+    wide = [tuple(random_tfsm(rng, max_constant=32, inputs=("i1", "i2")) for _ in range(2)) for _ in range(2)]
     dropped = 0
-    for _ in range(100):
-        inputs = tuple(f"i{k + 1}" for k in range(rng.randint(1, 2)))
-        a = random_tfsm(rng, inputs=inputs)
-        b = random_tfsm(rng, inputs=inputs)
-        fsm = product(abstract(a), abstract(b))
-        fast, slow = refine(fsm, merge), eager_refine(fsm, merge)
-        assert fast == slow
-        assert fast.states == slow.states
-        dropped += len(fsm.states) - len(fast.states)
+    with budget(30):
+        for a, b in [*criterion_pairs(173205, 100), *wide]:
+            fsm = product(abstract(a), abstract(b))
+            fast, slow = refine(fsm, merge), eager_refine(fsm, merge)
+            assert fast == slow
+            assert fast.states == slow.states
+            dropped += len(fsm.states) - len(fast.states)
     # Unreachable product states must occur, or the on-demand walk is not exercised.
     assert dropped > 0
+
+
+def exits_inside_an_interval(fsm, start):
+    """Does the delay walk from ``start`` re-enter a visited state inside some (n,n+1)?"""
+    seen, state = {start}, start
+    while (state := fsm.transitions[(state, TICK)][1]) not in seen:
+        seen.add(state)
+    return len(seen) % 2 == 1
+
+
+def test_refine_state_matches_the_tick_by_tick_walk():
+    rng = random.Random(223606)
+    machines = [random_time_progressive_fsm(rng) for _ in range(2000)]
+    machines += [minimize(abstract(machine)) for machine in machine_pool()]
+    walks = inside = 0
+    for fsm in machines:
+        for s in fsm.states:
+            assert _refine_state(fsm, s) == tick_by_tick_refine_state(fsm, s), f"{fsm}\n{s}"
+            walks += 1
+            inside += exits_inside_an_interval(fsm, s)
+    # Both exits must occur often, or one branch of the walk is not exercised.
+    assert inside > 1000 and walks - inside > 1000
+
+
+def open_tail_tie():
+    """Pool machine 1 (N=4) with its canonical relation plus open(4) and tail(4) pairs, which share region 9."""
+    machine = machine_pool()[1]
+    fsm = abstract(machine)
+    extra = {(("s1", interval), "s0,[0,0]") for interval in (ClockInterval.open(4), ClockInterval.tail(4))}
+    return machine, fsm, BisimRelation(canonical_bisimulation(machine, fsm).pairs | extra)
+
+
+def test_check_bisimulation_sweep_order_does_not_depend_on_the_hash_seed():
+    script = (
+        "from test_fast_paths import open_tail_tie; from tfsm import check_bisimulation; "
+        "print(check_bisimulation(*open_tail_tie()))"
+    )
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    verdicts = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in range(1, 5)
+    }
+    # Both extra pairs fail condition 1; the sweep must report the same one under every seed.
+    assert verdicts == {f"{interval_check_bisimulation(*open_tail_tie())}\n"}, verdicts
+    assert "kind='open', n=4" in verdicts.pop()
 
 
 @pytest.mark.parametrize("keep_unreachable", [False, True])
