@@ -313,9 +313,8 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
         return f"({config[0]},{ClockInterval.of_region(config[1], n_max)})"
 
     fsm_states = set(fsm.states)
-    edges_by_source = {}
-    for (source, i), edge in sorted(fsm.transitions.items()):
-        edges_by_source.setdefault(source, []).append((i, edge))
+    # Condition 4 reads each state's edges in input order, undeclared inputs and the tick included.
+    fsm_inputs = sorted({i for _, i in fsm.transitions})
 
     sweep.sort()
     for state, k, r, _, pair in sweep:
@@ -375,11 +374,14 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
                 )
 
         # 4: every input/output transition needs a guarded move; condition 3 matched outputs and successors.
-        for i, (o, _) in edges_by_source.get(r, ()):
-            if i == TICK and o != TICK:
+        for i in fsm_inputs:
+            edge = fsm.transitions.get((r, i))
+            if edge is None:
+                continue
+            if i == TICK and edge[0] != TICK:
                 return BisimCheck(
                     False, 4, pair,
-                    f"{r} answers the tick with output {o!r}, which no timed move matches",
+                    f"{r} answers the tick with output {edge[0]!r}, which no timed move matches",
                 )
             if i != TICK and i not in moves:
                 return BisimCheck(

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .abstraction import abstract
-from .core import MealyMachine, TimedMachine, TimedWord, validate_fsm, validate_tfsm
+from .core import TimedWord, validate_fsm, validate_tfsm
 from .export import export_dot, export_timed_automaton
 from .formats import MachineDocument, parse_document, serialize
 from .fsm_algebra import equivalent, minimize, product
@@ -22,27 +22,28 @@ from .refinement import refine
 from .semantics import run
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+_KIND_NAMES = {"tfsm": "a timed machine", "fsm": "an untimed machine"}
 
 
-def _load(path: str) -> MachineDocument:
-    return parse_document(Path(path).read_text())
+class _Invalid(Exception):
+    """A machine broke its invariants; the violations are printed and the command exits 2."""
 
 
-def _violations(doc: MachineDocument) -> list[str]:
-    if doc.kind == "tfsm":
-        return validate_tfsm(doc.body)
-    return validate_fsm(doc.body)
+def _load(path: str, needs: str | None = None, command: str = "") -> MachineDocument:
+    """Parse a machine file; with ``needs`` set, refuse a machine of the other kind."""
+    doc = parse_document(Path(path).read_text())
+    if needs is not None and doc.kind != needs:
+        raise ValueError(f"{path}: {command} needs {_KIND_NAMES[needs]}")
+    return doc
 
 
-def _check(doc: MachineDocument, path: str) -> bool:
-    """Print violations (if any) and report whether the machine is usable."""
-    problems = _violations(doc)
+def _require_valid(doc: MachineDocument, path: str) -> None:
+    """Print each violation of the machine to stderr; if there is one, end the command with exit 2."""
+    problems = validate_tfsm(doc.body) if doc.kind == "tfsm" else validate_fsm(doc.body)
     for problem in problems:
         print(f"{path}: {problem}", file=sys.stderr)
-    return not problems
+    if problems:
+        raise _Invalid
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -67,19 +68,14 @@ def _parse_word(text: str) -> TimedWord:
 
 
 def _cmd_validate(args) -> int:
-    doc = _load(args.file)
-    if not _check(doc, args.file):
-        return 2
+    _require_valid(_load(args.file), args.file)
     print("ok")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    doc = _load(args.file)
-    if doc.kind != "tfsm":
-        return _fail(f"{args.file}: simulate needs a timed machine")
-    if not _check(doc, args.file):
-        return 2
+    doc = _load(args.file, "tfsm", "simulate")
+    _require_valid(doc, args.file)
     word = _parse_word(args.word)
     result = run(doc.body, word)
     consumed = word.entries[: len(result.outputs)]
@@ -97,33 +93,24 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_abstract(args) -> int:
-    doc = _load(args.file)
-    if doc.kind != "tfsm":
-        return _fail(f"{args.file}: abstract needs a timed machine")
-    if not _check(doc, args.file):
-        return 2
+    doc = _load(args.file, "tfsm", "abstract")
+    _require_valid(doc, args.file)
     fsm = abstract(doc.body, keep_unreachable=args.full)
     _emit(serialize(fsm, name=f"{doc.name}_abstract"), args.output)
     return 0
 
 
 def _cmd_refine(args) -> int:
-    doc = _load(args.file)
-    if doc.kind != "fsm":
-        return _fail(f"{args.file}: refine needs an untimed machine")
-    if not _check(doc, args.file):
-        return 2
+    doc = _load(args.file, "fsm", "refine")
+    _require_valid(doc, args.file)
     machine = refine(doc.body, merge=not args.no_merge)
     _emit(serialize(machine, name=f"{doc.name}_refined"), args.output)
     return 0
 
 
 def _cmd_minimize(args) -> int:
-    doc = _load(args.file)
-    if doc.kind != "fsm":
-        return _fail(f"{args.file}: minimize needs an untimed machine")
-    if not _check(doc, args.file):
-        return 2
+    doc = _load(args.file, "fsm", "minimize")
+    _require_valid(doc, args.file)
     _emit(serialize(minimize(doc.body), name=f"{doc.name}_min"), args.output)
     return 0
 
@@ -131,9 +118,9 @@ def _cmd_minimize(args) -> int:
 def _cmd_intersect(args) -> int:
     a, b = _load(args.file1), _load(args.file2)
     if a.kind != b.kind:
-        return _fail("cannot intersect a timed machine with an untimed machine")
-    if not _check(a, args.file1) or not _check(b, args.file2):
-        return 2
+        raise ValueError("cannot intersect a timed machine with an untimed machine")
+    _require_valid(a, args.file1)
+    _require_valid(b, args.file2)
     name = f"{a.name}_meet_{b.name}"
     if a.kind == "tfsm":
         _emit(serialize(tfsm_intersect(a.body, b.body), name=name), args.output)
@@ -145,9 +132,9 @@ def _cmd_intersect(args) -> int:
 def _cmd_equiv(args) -> int:
     a, b = _load(args.file1), _load(args.file2)
     if a.kind != b.kind:
-        return _fail("cannot compare a timed machine with an untimed machine")
-    if not _check(a, args.file1) or not _check(b, args.file2):
-        return 2
+        raise ValueError("cannot compare a timed machine with an untimed machine")
+    _require_valid(a, args.file1)
+    _require_valid(b, args.file2)
     if a.kind == "tfsm":
         verdict = tfsm_equivalent(a.body, b.body)
         if verdict.equivalent:
@@ -174,11 +161,8 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_export_ta(args) -> int:
-    doc = _load(args.file)
-    if doc.kind != "tfsm":
-        return _fail(f"{args.file}: export-ta needs a timed machine")
-    if not _check(doc, args.file):
-        return 2
+    doc = _load(args.file, "tfsm", "export-ta")
+    _require_valid(doc, args.file)
     _emit(export_timed_automaton(doc.body, name=doc.name), args.output)
     return 0
 
@@ -245,7 +229,10 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _Invalid:
+        return 2
 
 
 def entry() -> None:

@@ -415,20 +415,18 @@ def validate_tfsm(machine: TimedMachine) -> list[str]:
             problems.append(f"transition ({t}) uses undeclared output {t.output!r}")
 
     # Determinism: guards of a (state, input) group must be pairwise disjoint.
-    groups: dict[tuple[str, str], list[Transition]] = {}
-    for t in machine.transitions:
-        groups.setdefault((t.source, t.input), []).append(t)
-    for (s, i), group in groups.items():
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                # The group is sorted by lower end, so once group[b] starts
-                # past the end of group[a], every later guard does too.
-                if guards_disjoint(group[a].guard, group[b].guard):
-                    break
-                problems.append(
-                    f"nondeterministic: guards {group[a].guard} and {group[b].guard} "
-                    f"overlap on input {i} at state {s}"
-                )
+    for s, by_input in machine.guard_index().items():
+        for i, (starts, ends, group) in by_input.items():
+            for a in range(len(group)):
+                for b in range(a + 1, len(group)):
+                    # The group is sorted by first region, so once group[b]
+                    # starts past the end of group[a], every later guard does too.
+                    if ends[a] < starts[b]:
+                        break
+                    problems.append(
+                        f"nondeterministic: guards {group[a].guard} and {group[b].guard} "
+                        f"overlap on input {i} at state {s}"
+                    )
 
     # Every guard must lie strictly below its source state's timeout bound.
     for t in machine.transitions:

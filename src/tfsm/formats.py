@@ -164,9 +164,7 @@ def _parse_tfsm(reader: _Reader) -> MachineDocument:
     name, inputs, outputs, states, initial = _parse_header(reader, "tfsm", tick_in_alphabets=False)
     timeouts: dict[str, Timeout] = {}
     transitions: list[Transition] = []
-    while reader.peek() is not None:
-        lineno, tokens = reader.lines[reader.pos]
-        reader.pos += 1
+    for lineno, tokens in reader.lines[reader.pos:]:
         keyword = tokens[0]
         if keyword == "timeout":
             if len(tokens) == 3 and tokens[2] == "inf":
@@ -214,9 +212,7 @@ def parse_fsm(text: str) -> MachineDocument:
 def _parse_fsm(reader: _Reader) -> MachineDocument:
     name, inputs, outputs, states, initial = _parse_header(reader, "fsm", tick_in_alphabets=True)
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
-    while reader.peek() is not None:
-        lineno, tokens = reader.lines[reader.pos]
-        reader.pos += 1
+    for lineno, tokens in reader.lines[reader.pos:]:
         if tokens[0] != "trans":
             raise reader.error(f"expected 'trans', found {tokens[0]!r}", lineno)
         _usage(reader, tokens, lineno, 5, "trans SOURCE INPUT/OUTPUT -> TARGET")
@@ -257,14 +253,18 @@ def serialize(machine: TimedMachine | MealyMachine, name: str = "machine") -> st
     raise TypeError(f"cannot serialize {type(machine).__name__}")
 
 
-def _serialize_tfsm(machine: TimedMachine, name: str) -> str:
-    lines = [
-        f"tfsm {name}",
+def _header(kind: str, machine: TimedMachine | MealyMachine, name: str) -> list[str]:
+    return [
+        f"{kind} {name}",
         "inputs " + " ".join(machine.inputs),
         "outputs " + " ".join(machine.outputs),
         "states " + " ".join(machine.states),
         f"initial {machine.initial}",
     ]
+
+
+def _serialize_tfsm(machine: TimedMachine, name: str) -> str:
+    lines = _header("tfsm", machine, name)
     for s in machine.states:
         timeout = machine.timeouts.get(s)
         if timeout is None:
@@ -279,13 +279,7 @@ def _serialize_tfsm(machine: TimedMachine, name: str) -> str:
 
 
 def _serialize_fsm(machine: MealyMachine, name: str) -> str:
-    lines = [
-        f"fsm {name}",
-        "inputs " + " ".join(machine.inputs),
-        "outputs " + " ".join(machine.outputs),
-        "states " + " ".join(machine.states),
-        f"initial {machine.initial}",
-    ]
+    lines = _header("fsm", machine, name)
     for (source, i), (o, target) in machine.ordered_transitions():
         lines.append(f"trans {source} {i}/{o} -> {target}")
     return "\n".join(lines) + "\n"

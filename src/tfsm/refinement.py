@@ -82,9 +82,10 @@ def refine(fsm: MealyMachine, merge: bool = True) -> TimedMachine:
     if not progress.ok:
         names = ", ".join(progress.offenders)
         raise ValueError(f"machine is not time-progressive: time cannot pass in {names}")
-    for (s, i), (o, _) in sorted(fsm.transitions.items()):
-        if i != TICK and o == TICK:
-            raise ValueError(f"input {i} at state {s} outputs the tick symbol; cannot be a guarded move")
+    ticking = [key for key, (o, _) in fsm.transitions.items() if o == TICK and key[1] != TICK]
+    if ticking:
+        s, i = min(ticking)
+        raise ValueError(f"input {i} at state {s} outputs the tick symbol; cannot be a guarded move")
 
     # Only states reachable in the result are walked: breadth_first visits
     # each once, and its refined transitions and timeout are its successors.

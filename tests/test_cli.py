@@ -139,6 +139,21 @@ class TestEquiv:
         assert main(["equiv", GP, GP_ABS]) == 2
         assert "cannot compare" in capsys.readouterr().err
 
+    def test_the_first_invalid_file_ends_a_two_file_command(self, tmp_path, capsys):
+        first, second = tmp_path / "a.tfsm", tmp_path / "b.tfsm"
+        for path in (first, second):
+            path.write_text(
+                "tfsm bad\ninputs i\noutputs o\nstates A\ninitial A\ntimeout A inf\n"
+                "trans A i [0,2) / o -> A\ntrans A i [1,3) / o -> A\n"
+            )
+        for command in ("equiv", "intersect"):
+            assert main([command, str(first), str(second)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"{first}: nondeterministic")
+            assert str(second) not in captured.err
+            assert main([command, GP, str(second)]) == 2
+            assert capsys.readouterr().err.startswith(f"{second}: nondeterministic")
+
 
 class TestExports:
     def test_dot_for_both_kinds(self, capsys):

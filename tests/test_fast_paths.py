@@ -8,23 +8,26 @@ its loop, ``minimize`` refines partitions by Hopcroft's algorithm,
 ``abstract``, ``tfsm_equivalent`` and ``check_bisimulation`` read the tick
 abstraction on integer clock regions, the first two without building it,
 ``equivalent`` keeps one parent pointer per pair, ``merge_guards``
-joins guards as ranges of clock regions, and ``product``, ``reachable``,
+joins guards as ranges of clock regions, ``validate_tfsm`` reads the
+overlapping guards off the guard index, and ``product``, ``reachable``,
 ``canonical_fsm`` and ``canonical_tfsm`` search through the shared
 ``breadth_first``.  The functions below are the earlier linear guard scans,
 the eager refinement loop over the tick-by-tick delay walk, the
 Moore-round minimization, the abstraction and the bisimulation checker
 over clock intervals, the equivalence search that carries a prefix per
-pair, the guard merge by cases on endpoints and the searches with their
-own deque loops, kept as references: the fast paths must return equal
-results, in equal order.
+pair, the guard merge by cases on endpoints, the searches with their
+own deque loops and the validator that grouped transitions itself, kept
+as references: the fast paths must return equal results, in equal order.
 """
 
+import math
 import os
 import random
 import subprocess
 import sys
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,7 @@ from tfsm import (
     max_constant,
     merge_guards,
     minimize,
+    parse_document,
     product,
     refine,
     run,
@@ -66,10 +70,10 @@ from tfsm import (
     validate_tfsm,
 )
 from tfsm.abstraction import TickView, admissible
-from tfsm.core import breadth_first
+from tfsm.core import _header_problems, breadth_first
 from tfsm.fsm_algebra import _input_order, reachable
 from tfsm.refinement import _refine_state, is_time_progressive
-from conftest import budget
+from conftest import MACHINES, budget
 from machine_gen import machine_pool, random_tfsm, random_time_progressive_fsm, random_timed_word
 
 
@@ -354,6 +358,61 @@ def interval_check_bisimulation(machine, fsm, relation):
                 )
 
     return BisimCheck(True)
+
+
+def grouped_validate_tfsm(machine):
+    """``validate_tfsm`` grouping transitions by (state, input) itself and testing overlap with ``guards_disjoint``."""
+    problems = _header_problems(machine)
+    states = machine.states
+    state_set, input_set, output_set = set(states), set(machine.inputs), set(machine.outputs)
+    for x in sorted(input_set & output_set):
+        problems.append(f"{x!r} is both an input and an output symbol")
+    if machine.initial not in state_set:
+        problems.append(f"initial state {machine.initial!r} is not a declared state")
+
+    for s in states:
+        if s not in machine.timeouts:
+            problems.append(f"state {s} has no timeout entry")
+    for s, timeout in machine.timeouts.items():
+        if s not in state_set:
+            problems.append(f"timeout declared for unknown state {s!r}")
+        elif timeout.bound is not None and timeout.target not in state_set:
+            problems.append(f"timeout of state {s} targets unknown state {timeout.target!r}")
+
+    for t in machine.transitions:
+        if t.source not in state_set:
+            problems.append(f"transition ({t}) leaves unknown state {t.source!r}")
+        if t.target not in state_set:
+            problems.append(f"transition ({t}) enters unknown state {t.target!r}")
+        if t.input not in input_set:
+            problems.append(f"transition ({t}) uses undeclared input {t.input!r}")
+        if t.output not in output_set:
+            problems.append(f"transition ({t}) uses undeclared output {t.output!r}")
+
+    groups = {}
+    for t in machine.transitions:
+        groups.setdefault((t.source, t.input), []).append(t)
+    for (s, i), group in groups.items():
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                if guards_disjoint(group[a].guard, group[b].guard):
+                    break
+                problems.append(
+                    f"nondeterministic: guards {group[a].guard} and {group[b].guard} "
+                    f"overlap on input {i} at state {s}"
+                )
+
+    for t in machine.transitions:
+        timeout = machine.timeouts.get(t.source)
+        if timeout is None or timeout.bound is None:
+            continue
+        if t.guard.regions[1] >= 2 * timeout.bound:
+            problems.append(
+                f"guard {t.guard} on transition ({t}) admits clock values not below "
+                f"the timeout bound {timeout.bound} of state {t.source}"
+            )
+
+    return problems
 
 
 def interval_merge_guards(machine):
@@ -775,6 +834,52 @@ def test_merge_guards_matches_the_endpoint_cases_on_random_guard_lists():
     assert merged > 0
 
 
+def random_overlapping_tfsm(rng):
+    """A machine with overlapping guards per (state, input).
+
+    Guards tie in their first region, run unbounded, overlap three or more
+    at a time, and leave states that are not declared.
+    """
+    states = ("s0", "s1", "s2")
+    sources = states + ("ghost",)
+    transitions = []
+    for _ in range(rng.randint(2, 10)):
+        source, i = rng.choice(sources), rng.choice(("i1", "i2"))
+        guard = random_guard(rng, 4)
+        group = [guard]
+        if rng.random() < 0.4:
+            # Same first region, a different end.
+            group.append(Guard(guard.lower, None, guard.lower_closed, False))
+        group += [random_guard(rng, 4) for _ in range(rng.randint(0, 3))]
+        for g in group:
+            transitions.append(Transition(source, i, g, rng.choice(("o1", "o2")), rng.choice(sources)))
+    timeouts = {s: rng.choice((Timeout(None), Timeout(rng.randint(1, 5), rng.choice(sources)))) for s in states}
+    return TimedMachine(states, ("i1", "i2"), ("o1", "o2"), "s0", tuple(transitions), timeouts)
+
+
+def test_validate_tfsm_matches_the_grouped_overlap_scan():
+    rng = random.Random(141421)
+    corpus = [parse_document(path.read_text()).body for path in sorted(MACHINES.glob("*.tfsm"))]
+    for machine in [*machine_pool(), *corpus]:
+        assert validate_tfsm(machine) == grouped_validate_tfsm(machine) == []
+    seen = {"overlapping": 0, "tied": 0, "unbounded": 0, "three-way": 0, "undeclared source": 0}
+    for _ in range(1200):
+        machine = random_overlapping_tfsm(rng)
+        problems = validate_tfsm(machine)
+        assert problems == grouped_validate_tfsm(machine), f"{machine}"
+        if any(p.startswith("nondeterministic") for p in problems):
+            seen["overlapping"] += 1
+        for s, by_input in machine.guard_index().items():
+            for starts, ends, _ in by_input.values():
+                overlaps = {(a, b) for a, b in combinations(range(len(starts)), 2) if ends[a] >= starts[b]}
+                seen["tied"] += any(starts[a] == starts[b] for a, b in overlaps)
+                seen["unbounded"] += any(ends[a] == math.inf for a, _ in overlaps)
+                triples = combinations(range(len(starts)), 3)
+                seen["three-way"] += any({(a, b), (a, c), (b, c)} <= overlaps for a, b, c in triples)
+                seen["undeclared source"] += bool(overlaps) and s not in machine.states
+    assert seen["overlapping"] >= 1000 and min(seen.values()) > 100, seen
+
+
 def bisimulation_variants(machine, fsm, rng):
     """Relations near the canonical one: itself, drops, redirects, intervals outside the partition, unknown states."""
     base = canonical_bisimulation(machine, fsm).pairs
@@ -797,7 +902,12 @@ def bisimulation_variants(machine, fsm, rng):
 
 
 def dead_tick_variants(machine, rng):
-    """The full abstraction with a tick edge added at an inadmissible configuration, related to it."""
+    """The full abstraction with a tick edge added at an inadmissible configuration, related to it.
+
+    Some variants also give that configuration an edge on a declared input
+    or on the undeclared input ``!u``, so condition 4 has two violations
+    there and reports the one whose input sorts first.
+    """
     full = abstract(machine, keep_unreachable=True)
     n = max_constant(machine)
     dead = [(s, iv) for s in machine.states for iv in interval_set(n) if not admissible(machine, s, iv)]
@@ -805,17 +915,33 @@ def dead_tick_variants(machine, rng):
         name = abstract_state_name(*config)
         # A tick answered with the tick, then with an ordinary output.
         for output in (TICK, machine.outputs[0]):
-            transitions = dict(full.transitions)
-            transitions[(name, TICK)] = (output, name)
-            fsm = MealyMachine(full.states, full.inputs, full.outputs, full.initial, transitions)
-            yield fsm, canonical_bisimulation(machine, fsm).pairs | {(config, name)}
+            for extra in (None, machine.inputs[0], "!u"):
+                transitions = dict(full.transitions)
+                transitions[(name, TICK)] = (output, name)
+                if extra is not None:
+                    transitions[(name, extra)] = (machine.outputs[0], name)
+                fsm = MealyMachine(full.states, full.inputs, full.outputs, full.initial, transitions)
+                yield fsm, canonical_bisimulation(machine, fsm).pairs | {(config, name)}
+
+
+def renamed_inputs(machine):
+    """The same machine with its inputs renamed to ``0`` and ``!a``, which sort before the tick symbol."""
+    rename = dict(zip(machine.inputs, ("0", "!a")))
+    return TimedMachine(
+        machine.states, tuple(rename[i] for i in machine.inputs), machine.outputs, machine.initial,
+        tuple(Transition(t.source, rename[t.input], t.guard, t.output, t.target) for t in machine.transitions),
+        machine.timeouts,
+    )
 
 
 def test_check_bisimulation_matches_the_interval_checker():
     rng = random.Random(1414213)
     pool = machine_pool()[:80]
+    # Inputs renamed to sort before the tick, so condition 4 meets the tick among them.
+    renamed = [renamed_inputs(machine) for machine in pool[:40]]
     verdicts = {}
-    for machine, other in zip(pool, pool[1:] + pool[:1]):
+    tick_or_input = {}
+    for machine, other in [*zip(pool, pool[1:] + pool[:1]), *zip(renamed, renamed[1:] + renamed[:1])]:
         # Its own abstraction, and another machine's, where more pairs fail.
         cases = [
             (fsm, pairs)
@@ -829,11 +955,20 @@ def test_check_bisimulation_matches_the_interval_checker():
             assert fast == interval_check_bisimulation(machine, fsm, relation), f"{machine}\n{sorted(pairs, key=str)}"
             kind = (fast.ok, fast.condition)
             verdicts[kind] = verdicts.get(kind, 0) + 1
+            if fast.condition == 4:
+                r = fast.pair[1]
+                bad_tick = fsm.transitions.get((r, TICK), (TICK,))[0] != TICK
+                if bad_tick and any(source == r and i != TICK for source, i in fsm.transitions):
+                    # A bad tick and an input edge at a dead configuration: the first in input order is named.
+                    first = "tick" if "answers the tick" in fast.detail else fast.detail.split()[3]
+                    tick_or_input[first] = tick_or_input.get(first, 0) + 1
     # Acceptance, each of the five conditions and the unknown-state reports must all occur.
     assert set(verdicts) == {(True, None), (False, None), (False, 0), (False, 1), (False, 2), (False, 3), (False, 4)}, (
         verdicts
     )
     assert sum(verdicts.values()) > 5_000
+    # The tick is reported before i1, and after 0 and the undeclared !u.
+    assert set(tick_or_input) == {"tick", "0", "!u"}, tick_or_input
 @pytest.mark.parametrize("merge", [True, False])
 def test_refine_matches_the_eager_loop_on_intersections(merge):
     rng = random.Random(264575)

@@ -74,6 +74,18 @@ class TestRefineErrors:
         )
         with pytest.raises(ValueError, match="tick symbol"):
             refine(fsm)
+        # Several offenders, inserted out of order: the least (state, input) is named.
+        ticking = {("b", "j"): (TICK, "a"), ("b", "i"): (TICK, "b"), ("a", "k"): (TICK, "a"), ("a", "j"): (TICK, "b")}
+        fsm = MealyMachine(
+            states=("b", "a"),
+            inputs=("k", "j", "i", TICK),
+            outputs=("o", TICK),
+            initial="b",
+            transitions={("b", TICK): (TICK, "a"), ("a", TICK): (TICK, "b"), **ticking},
+        )
+        with pytest.raises(ValueError) as error:
+            refine(fsm)
+        assert str(error.value) == "input j at state a outputs the tick symbol; cannot be a guarded move"
 
 
 class TestRefine:
