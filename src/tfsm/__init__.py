@@ -16,7 +16,6 @@ from .abstraction import (
     ClockInterval,
     abstract,
     abstract_state_name,
-    admissible,
     canonical_bisimulation,
     check_bisimulation,
     interval_of,
@@ -32,7 +31,6 @@ from .core import (
     TimedWord,
     Timeout,
     Transition,
-    guards_disjoint,
     validate_fsm,
     validate_tfsm,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "Transition",
     "abstract",
     "abstract_state_name",
-    "admissible",
     "advance",
     "canonical_bisimulation",
     "canonical_fsm",
@@ -102,7 +99,6 @@ __all__ = [
     "equivalent",
     "export_dot",
     "export_timed_automaton",
-    "guards_disjoint",
     "interval_of",
     "interval_set",
     "is_time_progressive",

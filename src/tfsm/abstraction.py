@@ -22,9 +22,11 @@ synchronized search, and :func:`check_bisimulation` verifies an arbitrary
 relation, reporting which of the four matching conditions breaks first.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import inf
 
 from .core import MealyMachine, TimedMachine, TICK, breadth_first
 from .semantics import tick_encode_delay
@@ -162,6 +164,7 @@ class TickView:
         self.inputs = machine.inputs + (TICK,)
         self.outputs = machine.outputs + (TICK,)
         self.transitions = self
+        self._breaks = {}
 
     def get(self, key):
         (state, k), symbol = key
@@ -178,11 +181,20 @@ class TickView:
             if edge is not None:
                 yield i, edge
 
+    def breakpoint(self, config):
+        """The first region past ``config``'s where its input moves may change, or ``inf``.
 
-def admissible(machine: TimedMachine, state: str, interval: ClockInterval) -> bool:
-    """True iff every clock value in the interval is below the state's timeout."""
-    bound = machine.timeouts[state].bound
-    return bound is None or interval.region < 2 * bound
+        There a guard starts or ends, or the tick fires the timeout (region
+        ``2 * bound``); a state without a timeout changes nothing past its last guard.
+        """
+        state, k = config
+        if state not in self._breaks:
+            found = {2 * (self.machine.timeouts[state].bound or inf)}
+            for starts, ends, _ in self.machine.guard_index().get(state, {}).values():
+                found.update(starts, (e + 1 for e in ends))
+            self._breaks[state] = sorted(found)
+        breaks = self._breaks[state]
+        return breaks[bisect_right(breaks, k)]
 
 
 def abstract(machine: TimedMachine, keep_unreachable: bool = False) -> MealyMachine:

@@ -10,6 +10,7 @@ machines, mismatched machine kinds).
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .abstraction import abstract
@@ -224,8 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # built on the first call of main, not at import
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -101,12 +101,6 @@ class Guard:
         return f"{left}{self.lower},{self.upper}{right}"
 
 
-def guards_disjoint(g1: Guard, g2: Guard) -> bool:
-    """True iff no rational value belongs to both intervals, i.e. no clock region does."""
-    (s1, e1), (s2, e2) = g1.regions, g2.regions
-    return e1 < s2 or e2 < s1
-
-
 def _guard_sort_key(g: Guard):
     return (
         g.lower,

@@ -4,15 +4,17 @@ Equivalence and intersection of timed machines reduce to the corresponding
 untimed questions about their tick abstractions: two timed machines are
 equivalent exactly when their abstractions are, and refining the product of
 the abstractions yields a timed machine realizing the behavior common to
-both.  Equivalence reads the abstractions on demand, pair by pair, and stops
-at the first mismatch; intersection builds them.  A separating word found on
-the untimed side decodes back into a timed word -- each maximal block of
-ticks stands for half its length in time units -- and is confirmed by
-actually running both timed machines.
+both.  Equivalence reads the abstractions on demand: a walk from breakpoint
+to breakpoint decides it, and only on a mismatch does the exact search run,
+region by region, for a shortest separating word.  Intersection builds
+them.  A separating word found on the untimed side decodes back into a
+timed word -- each maximal block of ticks stands for half its length in
+time units -- and is confirmed by actually running both timed machines.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 from .abstraction import TickView, abstract
 from .core import TimedMachine, TimedWord, Timeout, Transition, TICK, breadth_first
@@ -57,22 +59,56 @@ def decode_tick_word(symbols) -> TimedWord:
     return TimedWord(tuple(entries))
 
 
+class _Parted(Exception):
+    """Two tick views disagree on an input at a pair of configurations they reach together."""
+
+
+def _coarse_equivalent(a: TickView, b: TickView) -> bool:
+    """True iff no pair of configurations the two views reach together disagrees on an input.
+
+    From each pair, every input is compared once and the pair it enters is
+    queued, and so is the pair both clocks tick on to at the nearer
+    :meth:`~tfsm.abstraction.TickView.breakpoint`.  No move changes in
+    between, and reachable configurations never refuse the tick.
+    """
+    inputs = tuple(dict.fromkeys(a.machine.inputs + b.machine.inputs))
+
+    def successors(pair):
+        ca, cb = pair
+        for i in inputs:
+            ea, eb = a.get((ca, i)), b.get((cb, i))
+            if ea is None and eb is None:
+                continue
+            if ea is None or eb is None or ea[0] != eb[0]:
+                raise _Parted
+            yield ea[1], eb[1]
+        d = min(a.breakpoint(ca) - ca[1], b.breakpoint(cb) - cb[1])
+        if d < inf:
+            # The tick out of the region before the breakpoint fires a timeout or stops at the tail.
+            yield a.get(((ca[0], ca[1] + d - 1), TICK))[1], b.get(((cb[0], cb[1] + d - 1), TICK))[1]
+
+    try:
+        breadth_first([(a.initial, b.initial)], successors)
+    except _Parted:
+        return False
+    return True
+
+
 def tfsm_equivalent(a: TimedMachine, b: TimedMachine) -> TimedEquivalenceVerdict:
     """Decide whether two timed machines have identical timed behavior.
 
-    Both tick abstractions are read on demand (:class:`~tfsm.abstraction.TickView`),
-    never built, and the breadth-first search stops at the first mismatch,
-    so the untimed counterexample is still a shortest one.
+    Both tick abstractions are read on demand (:class:`~tfsm.abstraction.TickView`).
+    A walk from breakpoint to breakpoint decides; only on a mismatch does the
+    exact search run, region by region, for a shortest untimed counterexample.
     """
-    verdict = equivalent(TickView(a), TickView(b))
-    if verdict.equivalent:
+    view_a, view_b = TickView(a), TickView(b)
+    if _coarse_equivalent(view_a, view_b):
         return TimedEquivalenceVerdict(True)
+    verdict = equivalent(view_a, view_b)
 
     word = decode_tick_word(verdict.counterexample.word)
     run_a, run_b = run(a, word), run(b, word)
-    if run_a.accepted and run_b.accepted:
-        if run_a.outputs == run_b.outputs:
-            raise RuntimeError(f"decoded counterexample {word} does not separate the machines")
+    if run_a.accepted and run_b.accepted and run_a.outputs != run_b.outputs:
         kind = OUTPUT_MISMATCH
         detail = (
             f"on {word}: outputs {' '.join(run_a.outputs)} in the first machine "

@@ -1,16 +1,19 @@
-"""Seeded random generators for property suites.
+"""Seeded random generators and shared helpers for property suites.
 
 Machines come out structurally valid by construction: guards are unions of
 contiguous atoms of the clock partition below the state's timeout, so they
 are pairwise disjoint per (state, input) and always fit under the bound.
 Everything is driven by a caller-supplied ``random.Random`` so failures
-reproduce from the seed alone.
+reproduce from the seed alone.  ``guards_disjoint`` and ``admissible`` are
+small facts about guards and configurations that several suites check
+against.
 """
 
 import random
 from fractions import Fraction
 
 from tfsm import (
+    ClockInterval,
     Guard,
     MealyMachine,
     TICK,
@@ -22,6 +25,18 @@ from tfsm import (
     run,
     tick_encode_word,
 )
+
+
+def guards_disjoint(g1: Guard, g2: Guard) -> bool:
+    """True iff no rational value belongs to both intervals, i.e. no clock region does."""
+    (s1, e1), (s2, e2) = g1.regions, g2.regions
+    return e1 < s2 or e2 < s1
+
+
+def admissible(machine: TimedMachine, state: str, interval: ClockInterval) -> bool:
+    """True iff every clock value in the interval is below the state's timeout."""
+    bound = machine.timeouts[state].bound
+    return bound is None or interval.region < 2 * bound
 
 
 def random_tfsm(rng: random.Random, max_states=5, max_inputs=2, max_constant=4,

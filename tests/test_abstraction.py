@@ -16,7 +16,6 @@ from tfsm import (
     Transition,
     abstract,
     abstract_state_name,
-    admissible,
     canonical_bisimulation,
     canonical_fsm,
     check_bisimulation,
@@ -25,6 +24,7 @@ from tfsm import (
     max_constant,
 )
 from tfsm.abstraction import ClockInterval, TickView
+from machine_gen import admissible
 
 
 class TestClockIntervals:

@@ -16,7 +16,6 @@ from tfsm import (
     BisimRelation,
     TimedWord,
     abstract,
-    admissible,
     canonical_bisimulation,
     canonical_fsm,
     canonical_tfsm,
@@ -38,6 +37,7 @@ from tfsm import (
 )
 from conftest import MACHINES, budget
 from machine_gen import (
+    admissible,
     conjunction_agrees,
     machine_pool,
     random_tfsm,

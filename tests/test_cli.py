@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import tfsm
-from tfsm import parse_document
+from tfsm import cli, parse_document
 from tfsm.cli import main
-from conftest import MACHINES
+from conftest import MACHINES, budget
 
 GP = str(MACHINES / "guarded_pair.tfsm")
 GP_ABS = str(MACHINES / "guarded_pair_abstract.fsm")
@@ -153,6 +153,84 @@ class TestEquiv:
             assert str(second) not in captured.err
             assert main([command, GP, str(second)]) == 2
             assert capsys.readouterr().err.startswith(f"{second}: nondeterministic")
+
+
+    @pytest.mark.parametrize("bound", [10**6, 10**9])
+    def test_equivalent_machines_with_a_huge_timeout_answer_at_once(self, tmp_path, capsys, bound):
+        # The copy renames every state and splits one guard at an interior integer.
+        ring = (
+            "tfsm {name}\ninputs i\noutputs o1 o2\nstates {a} {b}\ninitial {a}\n"
+            "timeout {a} {n} -> {b}\ntimeout {b} {n} -> {a}\n"
+            "{guards}trans {b} i [1,{n}) / o2 -> {a}\n"
+        )
+        first, second = tmp_path / "a.tfsm", tmp_path / "b.tfsm"
+        first.write_text(ring.format(
+            name="a", a="A", b="B", n=bound, guards=f"trans A i [0,{bound}) / o1 -> B\n",
+        ))
+        second.write_text(ring.format(
+            name="b", a="P", b="Q", n=bound,
+            guards=f"trans P i [0,7) / o1 -> Q\ntrans P i [7,{bound}) / o1 -> Q\n",
+        ))
+        with budget(5):
+            assert main(["equiv", str(first), str(second)]) == 0
+        assert capsys.readouterr() == ("equivalent\n", "")
+
+
+def _outcome(argv, capsys, written):
+    """Exit code, stdout and stderr of one ``main`` call, and the text it wrote to ``written``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    text = written.read_text() if written.exists() else None
+    written.unlink(missing_ok=True)
+    return code, captured.out, captured.err, text
+
+
+def test_one_parser_answers_every_call_as_a_fresh_one_does(tmp_path, capsys, monkeypatch):
+    written = tmp_path / "out.txt"
+    out = str(written)
+    calls = [
+        ["abstract", GP, "--full"],
+        ["abstract", GP],
+        ["abstract", GP, "-o", out],
+        ["abstract", GP],
+        ["refine", GP_ABS, "--no-merge"],
+        ["refine", GP_ABS],
+        ["refine", GP_ABS, "--no-merge", "-o", out],
+        ["minimize", GP_ABS],
+        ["equiv", GP, GP_REBUILT],
+        ["equiv", GP, BLINKER],
+        ["simulate", GP, "--word", "i@0 i@3/2"],
+        ["simulate", GP],
+        ["validate", GP],
+        ["frobnicate", GP],
+        [],
+        ["abstract", GP, "--no-merge"],
+        ["intersect", GP, BLINKER, "-o", out],
+        ["intersect", GP],
+        ["--help"],
+        ["equiv", "--help"],
+        ["export-dot", GP_ABS],
+        ["export-ta", GP, "-o", out],
+        ["export-ta", GP],
+        ["validate", "no/such/file.tfsm"],
+    ]
+    assert cli._parser() is cli._parser()
+    outcomes = []
+    for argv in calls:
+        cached = _outcome(argv, capsys, written)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parser", cli.build_parser)
+            fresh = _outcome(argv, capsys, written)
+        assert cached == fresh, argv
+        outcomes.append(cached)
+    # Every exit code occurs, and a flag or an output file never carries over to the next call.
+    assert {code for code, *_ in outcomes} == {0, 1, 2}
+    assert outcomes[0][1] != outcomes[1][1] == outcomes[3][1]
+    assert outcomes[2][1] == "" and outcomes[2][3] == outcomes[1][1]
+    assert outcomes[4][1] != outcomes[5][1]
 
 
 class TestExports:

@@ -15,10 +15,10 @@ from tfsm import (
     TimedWord,
     Timeout,
     Transition,
-    guards_disjoint,
     validate_fsm,
     validate_tfsm,
 )
+from machine_gen import guards_disjoint
 
 
 @st.composite

@@ -7,6 +7,8 @@ some input is defined and takes an exit inside (n,n+1) as one more turn of
 its loop, ``minimize`` refines partitions by Hopcroft's algorithm,
 ``abstract``, ``tfsm_equivalent`` and ``check_bisimulation`` read the tick
 abstraction on integer clock regions, the first two without building it,
+``tfsm_equivalent`` decides by a walk from breakpoint to breakpoint and
+searches region by region only to explain a mismatch,
 ``equivalent`` keeps one parent pointer per pair, ``merge_guards``
 joins guards as ranges of clock regions, ``validate_tfsm`` reads the
 overlapping guards off the guard index, and ``product``, ``reachable``,
@@ -15,9 +17,10 @@ overlapping guards off the guard index, and ``product``, ``reachable``,
 the eager refinement loop over the tick-by-tick delay walk, the
 Moore-round minimization, the abstraction and the bisimulation checker
 over clock intervals, the equivalence search that carries a prefix per
-pair, the guard merge by cases on endpoints, the searches with their
-own deque loops and the validator that grouped transitions itself, kept
-as references: the fast paths must return equal results, in equal order.
+pair, the timed equivalence that always searches region by region, the
+guard merge by cases on endpoints, the searches with their own deque
+loops and the validator that grouped transitions itself, kept as
+references: the fast paths must return equal results, in equal order.
 """
 
 import math
@@ -56,7 +59,6 @@ from tfsm import (
     check_bisimulation,
     decode_tick_word,
     equivalent,
-    guards_disjoint,
     interval_set,
     max_constant,
     merge_guards,
@@ -69,12 +71,19 @@ from tfsm import (
     tfsm_equivalent,
     validate_tfsm,
 )
-from tfsm.abstraction import TickView, admissible
+from tfsm.abstraction import TickView
 from tfsm.core import _header_problems, breadth_first
 from tfsm.fsm_algebra import _input_order, reachable
 from tfsm.refinement import _refine_state, is_time_progressive
 from conftest import MACHINES, budget
-from machine_gen import machine_pool, random_tfsm, random_time_progressive_fsm, random_timed_word
+from machine_gen import (
+    admissible,
+    guards_disjoint,
+    machine_pool,
+    random_tfsm,
+    random_time_progressive_fsm,
+    random_timed_word,
+)
 
 
 def scan_step(machine, config, symbol):
@@ -521,7 +530,16 @@ def prefix_equivalent(a, b):
 
 def eager_tfsm_equivalent(a, b):
     """``tfsm_equivalent`` comparing both abstractions, built in full first."""
-    verdict = prefix_equivalent(eager_abstract(a), eager_abstract(b))
+    return timed_verdict(a, b, prefix_equivalent(eager_abstract(a), eager_abstract(b)))
+
+
+def region_tfsm_equivalent(a, b):
+    """``tfsm_equivalent`` deciding by the exact search over both tick views, region by region."""
+    return timed_verdict(a, b, equivalent(TickView(a), TickView(b)))
+
+
+def timed_verdict(a, b, verdict):
+    """The timed verdict for an untimed one: its counterexample decoded, run on both machines and explained."""
     if verdict.equivalent:
         return TimedEquivalenceVerdict(True)
     word = decode_tick_word(verdict.counterexample.word)
@@ -1126,6 +1144,136 @@ def test_tfsm_equivalent_matches_the_built_abstractions():
     # Both verdicts, and pairs across N and across alphabets, must occur.
     assert 0 < apart < 400
     assert other_n > 50 and other_inputs > 20
+
+
+def split_at_timeout(machine, state, bound):
+    """``machine`` with ``state`` (which never times out) handing over at ``bound`` to a copy of its later part.
+
+    The copy keeps the guards from ``bound`` on, shifted down by it, and
+    never times out itself, so the behavior is unchanged.
+    """
+    copy, cut = f"{state}'", 2 * bound
+    transitions = []
+    for t in machine.transitions:
+        if t.source != state:
+            transitions.append(t)
+            continue
+        first, last = t.guard.regions
+        if first < cut:
+            early = Guard.of_regions(first, min(last, cut - 1))
+            transitions.append(Transition(state, t.input, early, t.output, t.target))
+        if last >= cut:
+            late = Guard.of_regions(max(first, cut) - cut, last - cut)
+            transitions.append(Transition(copy, t.input, late, t.output, t.target))
+    timeouts = {**machine.timeouts, state: Timeout(bound, copy), copy: Timeout(None)}
+    return TimedMachine(
+        machine.states + (copy,), machine.inputs, machine.outputs, machine.initial, transitions, timeouts,
+    )
+
+
+def one_edit(rng, machine):
+    """``machine`` with one output, target, timeout bound (+-1) or guard endpoint (one region) changed.
+
+    The result is valid; ``machine`` itself comes back when fifty tries find no such edit.
+    """
+    for _ in range(50):
+        transitions, timeouts = list(machine.transitions), dict(machine.timeouts)
+        kind = rng.randrange(4)
+        if kind == 2 or not transitions:
+            state = rng.choice(machine.states)
+            t = timeouts[state]
+            if t.bound is None:
+                continue
+            timeouts[state] = Timeout(max(1, t.bound + rng.choice((-1, 1))), t.target)
+        else:
+            k = rng.randrange(len(transitions))
+            t = transitions[k]
+            if kind == 0:
+                transitions[k] = Transition(t.source, t.input, t.guard, rng.choice(machine.outputs), t.target)
+            elif kind == 1:
+                transitions[k] = Transition(t.source, t.input, t.guard, t.output, rng.choice(machine.states))
+            else:
+                first, last = t.guard.regions
+                if last == math.inf or rng.random() < 0.5:
+                    first += rng.choice((-1, 1))
+                else:
+                    last += rng.choice((-1, 1))
+                if not 0 <= first <= last:
+                    continue
+                transitions[k] = Transition(t.source, t.input, Guard.of_regions(first, last), t.output, t.target)
+        edited = TimedMachine(machine.states, machine.inputs, machine.outputs, machine.initial, transitions, timeouts)
+        if edited != machine and not validate_tfsm(edited):
+            return edited
+    return machine
+
+
+def with_unreachable_state(machine, top):
+    """``machine`` plus the input ``x`` and a state nothing enters, whose constants raise the largest to ``top``."""
+    timeouts = {**machine.timeouts, "u": Timeout(top, machine.initial)}
+    guard = Transition("u", machine.inputs[0], Guard(top - 1, top, False, False), machine.outputs[0], "u")
+    return TimedMachine(
+        machine.states + ("u",), machine.inputs + ("x",), machine.outputs, machine.initial,
+        machine.transitions + (guard,), timeouts,
+    )
+
+
+def coarse_search_pairs(seed, count):
+    """Seeded pairs for the breakpoint walk: round trips, one-edit perturbations, other N and alphabets."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.choice((1, 2, 3, 4, 4, 6, 8, 12, 16, 24, 32, 64) if k % 4 else (2, 4))
+        a = random_tfsm(rng, max_constant=n)
+        shape = k % 6
+        if shape == 0:
+            b = refine(abstract(a), merge=rng.random() < 0.5)
+        elif shape == 1:
+            b = one_edit(rng, a)
+        elif shape == 2:
+            # Equal behavior over a larger N and one more declared input, or another machine.
+            if rng.random() < 0.6:
+                b = with_unreachable_state(a, max_constant(a) + rng.randint(1, 64 - n + 1))
+            else:
+                b = random_tfsm(rng, max_constant=rng.choice((1, 3, 6, 16)), inputs=a.inputs)
+        elif shape == 3:
+            # Another input alphabet: one more input, undefined or defined at one state, or a machine over others.
+            if rng.random() < 0.6:
+                extra = [Transition(rng.choice(a.states), "x", Guard.point(0), a.outputs[0], a.initial)]
+                transitions = a.transitions + tuple(extra[: rng.randrange(2)])
+                b = TimedMachine(a.states, a.inputs + ("x",), a.outputs, a.initial, transitions, a.timeouts)
+            else:
+                b = random_tfsm(rng, max_constant=n, max_inputs=3)
+        elif shape == 4:
+            # A state waiting forever on one side only: cut at a timeout, or its bound made infinite.
+            patient = [s for s in a.states if a.timeouts[s].bound is None]
+            if patient and rng.random() < 0.7:
+                b = split_at_timeout(a, rng.choice(patient), rng.randint(1, n + 1))
+            else:
+                timeouts = {**a.timeouts, rng.choice(a.states): Timeout(None)}
+                b = TimedMachine(a.states, a.inputs, a.outputs, a.initial, a.transitions, timeouts)
+        else:
+            b = one_edit(rng, refine(abstract(a)))
+        yield a, b
+
+
+def test_tfsm_equivalent_matches_the_region_by_region_search():
+    pairs = 0
+    verdicts = [0, 0]
+    other_n = other_inputs = infinite_one_side = 0
+    for a, b in coarse_search_pairs(299792458, 3000):
+        assert not validate_tfsm(a) and not validate_tfsm(b)
+        for x, y in ((a, b), (b, a)):
+            fast, slow = tfsm_equivalent(x, y), region_tfsm_equivalent(x, y)
+            assert fast == slow, f"{x}\n{y}"
+        pairs += 1
+        verdicts[fast.equivalent] += 1
+        other_n += max_constant(a) != max_constant(b)
+        other_inputs += set(a.inputs) != set(b.inputs)
+        infinite_one_side += any(
+            s in b.timeouts and (a.timeouts[s].bound is None) != (b.timeouts[s].bound is None) for s in a.states
+        )
+    # Both verdicts make up at least a fifth; pairs across N, alphabets and waiting states occur.
+    assert min(verdicts) >= pairs // 5, verdicts
+    assert other_n > 1000 and other_inputs > 500 and infinite_one_side > 500
 
 
 def test_equivalent_matches_the_prefix_search():
