@@ -18,7 +18,6 @@ from .abstraction import (
     abstract_state_name,
     canonical_bisimulation,
     check_bisimulation,
-    interval_of,
     interval_set,
     max_constant,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "equivalent",
     "export_dot",
     "export_timed_automaton",
-    "interval_of",
     "interval_set",
     "is_time_progressive",
     "max_constant",

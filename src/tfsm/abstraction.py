@@ -24,12 +24,10 @@ relation, reporting which of the four matching conditions breaks first.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 from math import inf
 
 from .core import MealyMachine, TimedMachine, TICK, breadth_first
-from .semantics import tick_encode_delay
 
 _KINDS = ("point", "open", "tail")
 
@@ -82,20 +80,6 @@ class ClockInterval:
             return NotImplemented
         return self.region < other.region
 
-    def representative(self) -> Fraction:
-        """A canonical clock value inside the interval."""
-        if self.kind == "point":
-            return Fraction(self.n)
-        return Fraction(2 * self.n + 1, 2)
-
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        if self.kind == "point":
-            return x == self.n
-        if self.kind == "open":
-            return self.n < x < self.n + 1
-        return x > self.n
-
     def __str__(self):
         if self.kind == "point":
             return f"[{self.n},{self.n}]"
@@ -122,14 +106,6 @@ def interval_set(n_max: int) -> tuple[ClockInterval, ...]:
     if n_max < 0:
         raise ValueError(f"negative partition bound {n_max}")
     return tuple(ClockInterval.of_region(k, n_max) for k in range(2 * n_max + 2))
-
-
-def interval_of(x, n_max: int) -> ClockInterval:
-    """The partition member containing clock value ``x``."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError(f"negative clock value {x}")
-    return ClockInterval.of_region(tick_encode_delay(x), n_max)
 
 
 def abstract_state_name(state: str, interval: ClockInterval) -> str:
@@ -164,7 +140,7 @@ class TickView:
         self.inputs = machine.inputs + (TICK,)
         self.outputs = machine.outputs + (TICK,)
         self.transitions = self
-        self._breaks = {}
+        self._breaks, self._edges = {}, {}
 
     def get(self, key):
         (state, k), symbol = key
@@ -195,6 +171,35 @@ class TickView:
             self._breaks[state] = sorted(found)
         breaks = self._breaks[state]
         return breaks[bisect_right(breaks, k)]
+
+    def stretch(self, config):
+        """``(breakpoint, edges)``: :meth:`breakpoint`, and each enabled input's ``(output, successor)`` until then."""
+        key = (config[0], self.breakpoint(config))
+        if key not in self._edges:
+            enabled = ((i, self.machine.enabled(config[0], i, config[1])) for i in self.machine.inputs)
+            self._edges[key] = {i: (t.output, (t.target, 0)) for i, t in enabled if t}
+        return key[1], self._edges[key]
+
+    def lasso(self, config):
+        """``(mu, lam)``: the tick chain from ``config`` is periodic from step ``mu`` on, with period ``lam``."""
+        timeouts, (state, k) = self.machine.timeouts, config
+        entered, at = {}, -k
+        while state not in entered:
+            if timeouts[state].bound is None:
+                return at + 2 * self.n_max + 1, 1
+            entered[state] = at
+            at += 2 * timeouts[state].bound
+            state = timeouts[state].target
+        return max(entered[state], 0), at - entered[state]
+
+    def after(self, config, n):
+        """The configuration ``n`` ticks on from ``config``; ``n`` is first reduced modulo its :meth:`lasso`'s cycle."""
+        mu, lam = self.lasso(config)
+        timeouts, state, at = self.machine.timeouts, config[0], -config[1]
+        n = min(n, mu + (n - mu) % lam)
+        while (bound := timeouts[state].bound) is not None and n >= at + 2 * bound:
+            state, at = timeouts[state].target, at + 2 * bound
+        return state, min(n - at, 2 * self.n_max + 1)
 
 
 def abstract(machine: TimedMachine, keep_unreachable: bool = False) -> MealyMachine:

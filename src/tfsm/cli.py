@@ -31,10 +31,12 @@ class _Invalid(Exception):
 
 
 def _load(path: str, needs: str | None = None, command: str = "") -> MachineDocument:
-    """Parse a machine file; with ``needs`` set, refuse a machine of the other kind."""
+    """Parse a machine file; with ``needs`` set, refuse a machine of the other kind, then validate it."""
     doc = parse_document(Path(path).read_text())
-    if needs is not None and doc.kind != needs:
-        raise ValueError(f"{path}: {command} needs {_KIND_NAMES[needs]}")
+    if needs is not None:
+        if doc.kind != needs:
+            raise ValueError(f"{path}: {command} needs {_KIND_NAMES[needs]}")
+        _require_valid(doc, path)
     return doc
 
 
@@ -76,7 +78,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     doc = _load(args.file, "tfsm", "simulate")
-    _require_valid(doc, args.file)
     word = _parse_word(args.word)
     result = run(doc.body, word)
     consumed = word.entries[: len(result.outputs)]
@@ -95,7 +96,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_abstract(args) -> int:
     doc = _load(args.file, "tfsm", "abstract")
-    _require_valid(doc, args.file)
     fsm = abstract(doc.body, keep_unreachable=args.full)
     _emit(serialize(fsm, name=f"{doc.name}_abstract"), args.output)
     return 0
@@ -103,7 +103,6 @@ def _cmd_abstract(args) -> int:
 
 def _cmd_refine(args) -> int:
     doc = _load(args.file, "fsm", "refine")
-    _require_valid(doc, args.file)
     machine = refine(doc.body, merge=not args.no_merge)
     _emit(serialize(machine, name=f"{doc.name}_refined"), args.output)
     return 0
@@ -111,47 +110,36 @@ def _cmd_refine(args) -> int:
 
 def _cmd_minimize(args) -> int:
     doc = _load(args.file, "fsm", "minimize")
-    _require_valid(doc, args.file)
     _emit(serialize(minimize(doc.body), name=f"{doc.name}_min"), args.output)
     return 0
 
 
-def _cmd_intersect(args) -> int:
+def _load_pair(args, verb: str) -> tuple[MachineDocument, MachineDocument]:
+    """Load both files, refuse mixed kinds, then validate the first and only then the second."""
     a, b = _load(args.file1), _load(args.file2)
     if a.kind != b.kind:
-        raise ValueError("cannot intersect a timed machine with an untimed machine")
+        raise ValueError(f"cannot {verb} a timed machine with an untimed machine")
     _require_valid(a, args.file1)
     _require_valid(b, args.file2)
-    name = f"{a.name}_meet_{b.name}"
-    if a.kind == "tfsm":
-        _emit(serialize(tfsm_intersect(a.body, b.body), name=name), args.output)
-    else:
-        _emit(serialize(product(a.body, b.body), name=name), args.output)
+    return a, b
+
+
+def _cmd_intersect(args) -> int:
+    a, b = _load_pair(args, "intersect")
+    meet = (tfsm_intersect if a.kind == "tfsm" else product)(a.body, b.body)
+    _emit(serialize(meet, name=f"{a.name}_meet_{b.name}"), args.output)
     return 0
 
 
 def _cmd_equiv(args) -> int:
-    a, b = _load(args.file1), _load(args.file2)
-    if a.kind != b.kind:
-        raise ValueError("cannot compare a timed machine with an untimed machine")
-    _require_valid(a, args.file1)
-    _require_valid(b, args.file2)
-    if a.kind == "tfsm":
-        verdict = tfsm_equivalent(a.body, b.body)
-        if verdict.equivalent:
-            print("equivalent")
-            return 0
-        print("not equivalent")
-        print(f"counterexample: {verdict.counterexample}")
-        print(verdict.detail)
-        return 1
-    verdict = equivalent(a.body, b.body)
+    a, b = _load_pair(args, "compare")
+    verdict = (tfsm_equivalent if a.kind == "tfsm" else equivalent)(a.body, b.body)
     if verdict.equivalent:
         print("equivalent")
         return 0
-    print("not equivalent")
-    print("counterexample: " + " ".join(verdict.counterexample.word))
-    print(verdict.counterexample.detail)
+    cx = verdict.counterexample
+    word, detail = (cx, verdict.detail) if a.kind == "tfsm" else (" ".join(cx.word), cx.detail)
+    print(f"not equivalent\ncounterexample: {word}\n{detail}")
     return 1
 
 
@@ -163,7 +151,6 @@ def _cmd_export_dot(args) -> int:
 
 def _cmd_export_ta(args) -> int:
     doc = _load(args.file, "tfsm", "export-ta")
-    _require_valid(doc, args.file)
     _emit(export_timed_automaton(doc.body, name=doc.name), args.output)
     return 0
 

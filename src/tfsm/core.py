@@ -84,15 +84,6 @@ class Guard:
         upper, upper_closed = divmod(last + 1, 2)
         return cls(lower, upper, not lower_open, bool(upper_closed))
 
-    def contains(self, x) -> bool:
-        """Exact membership test for a rational clock value."""
-        x = Fraction(x)
-        if x < self.lower or (x == self.lower and not self.lower_closed):
-            return False
-        if self.upper is None:
-            return True
-        return x < self.upper or (x == self.upper and self.upper_closed)
-
     def __str__(self):
         left = "[" if self.lower_closed else "("
         if self.upper is None:

@@ -38,14 +38,7 @@ position, input and guard, so parse/serialize round-trips are stable.
 import re
 from dataclasses import dataclass
 
-from .core import (
-    Guard,
-    MealyMachine,
-    TimedMachine,
-    Timeout,
-    Transition,
-    TICK,
-)
+from .core import Guard, MealyMachine, TimedMachine, Timeout, Transition, TICK
 
 
 class ParseError(ValueError):

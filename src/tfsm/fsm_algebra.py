@@ -96,18 +96,22 @@ def _counterexample(parents, pair, i, ea, eb) -> Counterexample:
     )
 
 
+def check_same_inputs(a, b) -> None:
+    """Raise ``ValueError`` naming the symbols unless the two machines declare the same inputs."""
+    if set(a.inputs) != set(b.inputs):
+        only_a, only_b = sorted(set(a.inputs) - set(b.inputs)), sorted(set(b.inputs) - set(a.inputs))
+        raise ValueError(
+            f"input alphabets differ: {only_a or '-'} only in the first machine, "
+            f"{only_b or '-'} only in the second"
+        )
+
+
 def product(a: MealyMachine, b: MealyMachine) -> MealyMachine:
     """The intersection machine: moves both machines make with equal output.
 
     Only reachable pairs become states, named 0, 1, 2, ... in discovery order.
     """
-    if set(a.inputs) != set(b.inputs):
-        only_a = sorted(set(a.inputs) - set(b.inputs))
-        only_b = sorted(set(b.inputs) - set(a.inputs))
-        raise ValueError(
-            f"input alphabets differ: {only_a or '-'} only in the first machine, "
-            f"{only_b or '-'} only in the second"
-        )
+    check_same_inputs(a, b)
     edges = {}
 
     def successors(pair):

@@ -4,9 +4,10 @@ Machines come out structurally valid by construction: guards are unions of
 contiguous atoms of the clock partition below the state's timeout, so they
 are pairwise disjoint per (state, input) and always fit under the bound.
 Everything is driven by a caller-supplied ``random.Random`` so failures
-reproduce from the seed alone.  ``guards_disjoint`` and ``admissible`` are
-small facts about guards and configurations that several suites check
-against.
+reproduce from the seed alone.  ``guards_disjoint``, ``admissible``,
+``guard_contains``, ``interval_contains``, ``representative`` and
+``interval_of`` are small facts about guards, clock intervals and
+configurations that several suites check against.
 """
 
 import random
@@ -23,6 +24,7 @@ from tfsm import (
     Transition,
     mealy_run,
     run,
+    tick_encode_delay,
     tick_encode_word,
 )
 
@@ -31,6 +33,41 @@ def guards_disjoint(g1: Guard, g2: Guard) -> bool:
     """True iff no rational value belongs to both intervals, i.e. no clock region does."""
     (s1, e1), (s2, e2) = g1.regions, g2.regions
     return e1 < s2 or e2 < s1
+
+
+def guard_contains(g: Guard, x) -> bool:
+    """Exact membership of a rational clock value in a guard."""
+    x = Fraction(x)
+    if x < g.lower or (x == g.lower and not g.lower_closed):
+        return False
+    if g.upper is None:
+        return True
+    return x < g.upper or (x == g.upper and g.upper_closed)
+
+
+def interval_contains(interval: ClockInterval, x) -> bool:
+    """Exact membership of a rational clock value in a member of the clock partition."""
+    x = Fraction(x)
+    if interval.kind == "point":
+        return x == interval.n
+    if interval.kind == "open":
+        return interval.n < x < interval.n + 1
+    return x > interval.n
+
+
+def representative(interval: ClockInterval) -> Fraction:
+    """A canonical clock value inside the interval."""
+    if interval.kind == "point":
+        return Fraction(interval.n)
+    return Fraction(2 * interval.n + 1, 2)
+
+
+def interval_of(x, n_max: int) -> ClockInterval:
+    """The partition member containing clock value ``x``."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError(f"negative clock value {x}")
+    return ClockInterval.of_region(tick_encode_delay(x), n_max)
 
 
 def admissible(machine: TimedMachine, state: str, interval: ClockInterval) -> bool:
@@ -123,6 +160,24 @@ def random_time_progressive_fsm(rng: random.Random, max_states=12) -> MealyMachi
         initial=states[0],
         transitions=transitions,
     )
+
+
+def edited_ring_texts(bound: int) -> tuple[str, str]:
+    """Machine files of a two-state ring with timeout ``bound``, and of its renamed copy.
+
+    The copy splits the first state's guard at 7 and changes the output of
+    the later half, so on the first state the two agree only below clock value 7.
+    """
+    ring = (
+        "tfsm {name}\ninputs i\noutputs o1 o2\nstates {a} {b}\ninitial {a}\n"
+        "timeout {a} {n} -> {b}\ntimeout {b} {n} -> {a}\n"
+        "{guards}trans {b} i [1,{n}) / o2 -> {a}\n"
+    )
+    first = ring.format(name="a", a="A", b="B", n=bound, guards=f"trans A i [0,{bound}) / o1 -> B\n")
+    second = ring.format(
+        name="b", a="P", b="Q", n=bound, guards=f"trans P i [0,7) / o1 -> Q\ntrans P i [7,{bound}) / o2 -> Q\n",
+    )
+    return first, second
 
 
 def ticks_agree(machine: TimedMachine, fsm: MealyMachine, word: TimedWord) -> bool:

@@ -43,6 +43,7 @@ from machine_gen import (
     random_tfsm,
     random_time_progressive_fsm,
     random_timed_word,
+    representative,
     ticks_agree,
 )
 
@@ -130,7 +131,7 @@ def behavior_relation(machine, fsm):
             if not admissible(machine, s, interval):
                 continue
             probe = replace(fsm, initial=s)
-            k = tick_encode_delay(interval.representative())
+            k = tick_encode_delay(representative(interval))
             result = mealy_run(probe, (TICK,) * k)
             assert result.accepted
             pairs.add(((s, interval), result.final))

@@ -12,6 +12,7 @@ import tfsm
 from tfsm import cli, parse_document
 from tfsm.cli import main
 from conftest import MACHINES, budget
+from machine_gen import edited_ring_texts
 
 GP = str(MACHINES / "guarded_pair.tfsm")
 GP_ABS = str(MACHINES / "guarded_pair_abstract.fsm")
@@ -114,6 +115,36 @@ class TestTransforms:
         assert main(["intersect", GP, GP_ABS]) == 2
         assert "cannot intersect" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", [10**6, 10**9])
+    def test_intersect_of_a_huge_timeout_ring_answers_at_once(self, tmp_path, capsys, bound):
+        first, second, out = tmp_path / "a.tfsm", tmp_path / "b.tfsm", tmp_path / "meet.tfsm"
+        for path, text in zip((first, second), edited_ring_texts(bound)):
+            path.write_text(text)
+        with budget(5):
+            assert main(["intersect", str(first), str(second), "-o", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_text() == (
+            f"tfsm a_meet_b\ninputs i\noutputs o1 o2\nstates 0 1\ninitial 0\n"
+            f"timeout 0 {2 * bound} -> 0\ntimeout 1 {2 * bound} -> 1\n"
+            f"trans 0 i [0,7) / o1 -> 1\ntrans 0 i [{bound + 1},{2 * bound}) / o2 -> 0\n"
+            f"trans 1 i [1,{bound}) / o2 -> 0\ntrans 1 i [{bound},{bound + 7}) / o1 -> 1\n"
+        )
+
+
+    @pytest.mark.parametrize("command, kind", [
+        ("simulate", "tfsm"), ("abstract", "tfsm"), ("export-ta", "tfsm"), ("refine", "fsm"), ("minimize", "fsm"),
+    ])
+    def test_commands_for_one_kind_refuse_an_invalid_machine(self, tmp_path, capsys, command, kind):
+        bad = tmp_path / f"bad.{kind}"
+        if kind == "tfsm":
+            bad.write_text("tfsm bad\ninputs i\noutputs o\nstates A\ninitial A\ntimeout A 2 -> Z\n")
+        else:
+            bad.write_text("fsm bad\ninputs i @t\noutputs o @t\nstates A\ninitial A\ntrans A i/o -> Z\n")
+        extra = ["--word", "i@0"] if command == "simulate" else []
+        assert main([command, str(bad), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"{bad}: ") and "'Z'" in captured.err
+
 
 class TestEquiv:
     def test_equivalent_machines_exit_0(self, capsys):
@@ -125,6 +156,7 @@ class TestEquiv:
         out = capsys.readouterr().out
         assert out.startswith("not equivalent\n")
         assert "counterexample: (i, 1/2)" in out
+        assert out.endswith("\non (i, 1/2): outputs o1 in the first machine but o2 in the second\n")
 
     def test_untimed_comparison(self, tmp_path, capsys):
         trimmed = tmp_path / "t.fsm"
@@ -133,7 +165,10 @@ class TestEquiv:
         trimmed.write_text(text.replace("trans q5 i/o1 -> q0\n", ""))
         assert main(["equiv", GP_ABS, str(trimmed)]) == 1
         out = capsys.readouterr().out
-        assert "counterexample: @t @t @t @t @t i" in out
+        assert out == (
+            "not equivalent\ncounterexample: @t @t @t @t @t i\n"
+            "input i after @t @t @t @t @t is defined only in the first machine\n"
+        )
 
     def test_mixed_kinds_exit_2(self, capsys):
         assert main(["equiv", GP, GP_ABS]) == 2

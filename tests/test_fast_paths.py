@@ -8,7 +8,9 @@ its loop, ``minimize`` refines partitions by Hopcroft's algorithm,
 ``abstract``, ``tfsm_equivalent`` and ``check_bisimulation`` read the tick
 abstraction on integer clock regions, the first two without building it,
 ``tfsm_equivalent`` decides by a walk from breakpoint to breakpoint and
-searches region by region only to explain a mismatch,
+searches region by region only to explain a mismatch, ``tfsm_intersect``
+walks only the pairs its result keeps, from breakpoint to breakpoint, with
+``TickView.lasso`` and ``after`` jumping along timeout chains,
 ``equivalent`` keeps one parent pointer per pair, ``merge_guards``
 joins guards as ranges of clock regions, ``validate_tfsm`` reads the
 overlapping guards off the guard index, and ``product``, ``reachable``,
@@ -18,9 +20,11 @@ the eager refinement loop over the tick-by-tick delay walk, the
 Moore-round minimization, the abstraction and the bisimulation checker
 over clock intervals, the equivalence search that carries a prefix per
 pair, the timed equivalence that always searches region by region, the
-guard merge by cases on endpoints, the searches with their own deque
-loops and the validator that grouped transitions itself, kept as
-references: the fast paths must return equal results, in equal order.
+paper's intersection (``refine`` of the ``product`` of both abstractions)
+and a tick-by-tick chain, the guard merge by cases on endpoints, the
+searches with their own deque loops and the validator that grouped
+transitions itself, kept as references: the fast paths must return equal
+results, in equal order.
 """
 
 import math
@@ -69,8 +73,10 @@ from tfsm import (
     run,
     step,
     tfsm_equivalent,
+    tfsm_intersect,
     validate_tfsm,
 )
+from tfsm import pipelines
 from tfsm.abstraction import TickView
 from tfsm.core import _header_problems, breadth_first
 from tfsm.fsm_algebra import _input_order, reachable
@@ -78,18 +84,21 @@ from tfsm.refinement import _refine_state, is_time_progressive
 from conftest import MACHINES, budget
 from machine_gen import (
     admissible,
+    edited_ring_texts,
+    guard_contains,
     guards_disjoint,
     machine_pool,
     random_tfsm,
     random_time_progressive_fsm,
     random_timed_word,
+    representative,
 )
 
 
 def scan_step(machine, config, symbol):
     """``step`` by testing every transition's guard at the clock value."""
     for t in machine.transitions:
-        if t.source == config.state and t.input == symbol and t.guard.contains(config.clock):
+        if t.source == config.state and t.input == symbol and guard_contains(t.guard, config.clock):
             return t.output, TimedState(t.target, Fraction(0))
     return None
 
@@ -98,10 +107,10 @@ def scan_input_moves(machine, state, interval):
     """The guarded moves on the whole interval, as (input, output, target), by testing every guard."""
     if not admissible(machine, state, interval):
         return []
-    x = interval.representative()
+    x = representative(interval)
     moves = []
     for t in machine.transitions:
-        if t.source == state and t.guard.contains(x):
+        if t.source == state and guard_contains(t.guard, x):
             moves.append((t.input, t.output, t.target))
     return moves
 
@@ -478,7 +487,7 @@ def grid_regions(g):
 
     Region 19 is past every endpoint up to 8, so this is exact for ``every_guard(8)``.
     """
-    return [k for k in range(20) if g.contains(Fraction(k, 2))]
+    return [k for k in range(20) if guard_contains(g, Fraction(k, 2))]
 
 
 def random_guard(rng, top):
@@ -1368,3 +1377,191 @@ def test_canonical_tfsm_matches_the_deque_loop():
         dropped += len(machine.states) - len(fast.states)
     # Unreachable states must occur, or the search is not exercised.
     assert dropped > 0
+
+
+def paper_tfsm_intersect(a, b):
+    """``tfsm_intersect`` as the paper builds it: untime both machines, intersect the Mealy machines, retime."""
+    return refine(product(abstract(a), abstract(b)))
+
+
+def lasso_machine(rng, bounds, back_to, inputs, outputs=("o1", "o2")):
+    """States ``s0, s1, ...`` that time out each to the next with ``bounds``; the last goes back to ``s<back_to>``.
+
+    A bound of ``None`` waits forever there.  Each (state, input) gets up to
+    two random guards below the state's bound.
+    """
+    states = tuple(f"s{k}" for k in range(len(bounds)))
+    timeouts = {
+        s: Timeout(bound, states[k + 1] if k + 1 < len(states) else states[back_to]) if bound else Timeout(None)
+        for k, (s, bound) in enumerate(zip(states, bounds))
+    }
+    transitions = []
+    for s, bound in zip(states, bounds):
+        top = 2 * bound - 1 if bound else 2 * max(b or 1 for b in bounds) + 1
+        for i in inputs:
+            first, last = sorted(rng.randint(0, top) for _ in range(2))
+            mid = rng.randint(first, last)
+            if not bound and rng.random() < 0.5:
+                last = math.inf
+            for guard in ((first, mid), (mid + 1, last)):
+                if guard[0] <= guard[1] and rng.random() < 0.7:
+                    g = Guard.of_regions(*guard)
+                    transitions.append(Transition(s, i, g, rng.choice(outputs), rng.choice(states)))
+    return TimedMachine(states, inputs, outputs, states[0], transitions, timeouts)
+
+
+def coprime_bounds(rng, other_total=None):
+    """Two to four timeout bounds whose sum is coprime to ``other_total``."""
+    while True:
+        bounds = [rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
+        if other_total is None or math.gcd(sum(bounds), other_total) == 1:
+            return bounds
+
+
+def intersect_pairs(seed, count):
+    """Seeded pairs for the intersection walk.
+
+    Criterion pairs, mixed N with inputs declared in either order, a state
+    waiting forever on one side only, timeout cycles of coprime lengths, a
+    long lead into a cycle or a tail against a short cycle, round trips and
+    one-edit copies; every fifth second machine declares its outputs in
+    another order.
+    """
+    rng = random.Random(seed)
+    criterion = criterion_pairs(seed, count)
+    for k in range(count):
+        shape = k % 7
+        inputs = ("i1", "i2")[: rng.randint(1, 2)]
+        swapped = inputs[::-1] if rng.random() < 0.5 else inputs
+        if shape == 0:
+            a, b = next(criterion)
+        elif shape == 1:
+            n1, n2 = rng.choice((1, 2, 4, 8, 16)), rng.choice((1, 2, 3, 6, 12))
+            a = random_tfsm(rng, max_constant=n1, inputs=inputs)
+            b = random_tfsm(rng, max_constant=n2, inputs=swapped)
+        elif shape == 2:
+            a = random_tfsm(rng, max_constant=rng.choice((2, 4, 8)), inputs=inputs)
+            patient = [s for s in a.states if a.timeouts[s].bound is None]
+            if patient and rng.random() < 0.5:
+                b = split_at_timeout(a, rng.choice(patient), rng.randint(1, 6))
+            else:
+                timeouts = {**a.timeouts, rng.choice(a.states): Timeout(None)}
+                b = TimedMachine(a.states, a.inputs, a.outputs, a.initial, a.transitions, timeouts)
+            if rng.random() < 0.5:
+                b = one_edit(rng, b)
+        elif shape == 3:
+            bounds_a = coprime_bounds(rng)
+            a = lasso_machine(rng, bounds_a, rng.randrange(len(bounds_a)), inputs)
+            bounds_b = coprime_bounds(rng, sum(bounds_a[a.states.index(a.timeouts[a.states[-1]].target):]))
+            b = lasso_machine(rng, bounds_b, 0, swapped)
+        elif shape == 4:
+            lead = [rng.randint(4, 12) for _ in range(rng.randint(1, 3))]
+            a = lasso_machine(rng, lead + [rng.choice((None, 1, 2))], len(lead), inputs)
+            b = lasso_machine(rng, [rng.randint(1, 2) for _ in range(rng.randint(1, 2))], 0, swapped)
+            if rng.random() < 0.5:
+                a, b = b, a
+        elif shape == 5:
+            a = random_tfsm(rng, max_constant=rng.choice((1, 2, 4, 8)), inputs=inputs)
+            b = rng.choice((a, refine(abstract(a), merge=rng.random() < 0.5), minimize_round_trip(a)))
+        else:
+            a = random_tfsm(rng, max_constant=rng.choice((2, 4, 8)), inputs=inputs)
+            b = one_edit(rng, rng.choice((a, refine(abstract(a)))))
+        if k % 5 == 0:
+            # Outputs declared in another order, one of them used by neither machine.
+            b = TimedMachine(b.states, b.inputs, ("o3",) + b.outputs[::-1], b.initial, b.transitions, b.timeouts)
+        yield a, b
+
+
+def minimize_round_trip(machine):
+    return refine(minimize(abstract(machine)))
+
+
+def assert_same_intersection(a, b):
+    fast, slow = tfsm_intersect(a, b), paper_tfsm_intersect(a, b)
+    assert fast == slow, f"{a}\n{b}"
+    assert fast.states == slow.states and list(fast.timeouts) == list(slow.timeouts)
+    return fast
+
+
+def test_tfsm_intersect_matches_the_paper_construction(monkeypatch):
+    walks = []
+    delay_walk = pipelines._delay_walk
+
+    def recording(a, b, ca, cb):
+        (mu_a, lam_a), (mu_b, lam_b) = a.lasso(ca), b.lasso(cb)
+        walks.append(((max(mu_a, mu_b) + math.lcm(lam_a, lam_b)) % 2, 1 in (lam_a, lam_b)))
+        return delay_walk(a, b, ca, cb)
+
+    monkeypatch.setattr(pipelines, "_delay_walk", recording)
+    pairs = other_n = 0
+    for a, b in intersect_pairs(271828, 3000):
+        assert not validate_tfsm(a) and not validate_tfsm(b)
+        assert_same_intersection(a, b)
+        pairs += 1
+        other_n += max_constant(a) != max_constant(b)
+    # Odd and even exits each make up over a fifth of the walks; walks that reach a tail occur.
+    odd, tails = sum(p for p, _ in walks), sum(t for _, t in walks)
+    assert pairs == 3000 and other_n > 1000
+    assert min(odd, len(walks) - odd) > len(walks) // 5, (odd, len(walks))
+    assert tails > len(walks) // 10, (tails, len(walks))
+
+
+def test_tfsm_intersect_matches_the_paper_construction_on_wide_pairs():
+    rng = random.Random(314159)
+    sizes = []
+    with budget(30):
+        # Independent three-state timeout lassos with bounds from N/2 to N: products of 7,000 to 12,000 states.
+        for n in (32, 40, 48, 64):
+            a, b = (lasso_machine(rng, [rng.randint(n // 2, n) for _ in range(3)], rng.randrange(3), ("i1", "i2"))
+                    for _ in range(2))
+            assert_same_intersection(a, b)
+            sizes.append(len(product(abstract(a), abstract(b)).states))
+    assert min(sizes) > 5000, sizes
+
+
+def test_tfsm_intersect_keeps_the_alphabet_error_of_the_product():
+    a, b = next(criterion_pairs(271828, 1))
+    wider = TimedMachine(b.states, b.inputs + ("x",), b.outputs, b.initial, b.transitions, b.timeouts)
+    for x, y in ((a, wider), (wider, a)):
+        with pytest.raises(ValueError) as fast:
+            tfsm_intersect(x, y)
+        with pytest.raises(ValueError) as slow:
+            paper_tfsm_intersect(x, y)
+        assert str(fast.value) == str(slow.value)
+
+
+@pytest.mark.parametrize("bound", [10, 1000])
+def test_tfsm_intersect_of_an_edited_ring_matches_the_paper_construction(bound):
+    a, b = (parse_document(text).body for text in edited_ring_texts(bound))
+    assert len(assert_same_intersection(a, b).states) == 2
+
+
+def tick_chain(view, config):
+    """The configurations ``config`` ticks through, tick by tick, up to the first repeat, and the repeat's index."""
+    chain, seen = [config], {config: 0}
+    while (succ := view.get((chain[-1], TICK))[1]) not in seen:
+        seen[succ] = len(chain)
+        chain.append(succ)
+    return chain, seen[succ]
+
+
+def test_lasso_and_after_match_the_tick_by_tick_loop():
+    rng = random.Random(141421356)
+    machines = machine_pool()[:200]
+    for _ in range(100):
+        bounds = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))] + [rng.choice((None, 1, 3))]
+        machines.append(lasso_machine(rng, bounds, rng.randrange(len(bounds)), ("i",)))
+    configs = tails = 0
+    for machine in machines:
+        view = TickView(machine)
+        for config in breadth_first([view.initial], lambda c: (succ for _, (_, succ) in view.moves(c))):
+            chain, mu = tick_chain(view, config)
+            lam = len(chain) - mu
+            assert view.lasso(config) == (mu, lam), f"{machine}\n{config}"
+            for n in [*range(len(chain) + 3), rng.randrange(10**12), 10**12]:
+                expected = chain[n] if n < len(chain) else chain[mu + (n - mu) % lam]
+                assert view.after(config, n) == expected, f"{machine}\n{config} {n}"
+            configs += 1
+            tails += lam == 1
+    # Both tails and timeout cycles must occur.
+    assert configs > 5000 and 1000 < tails < configs - 1000, (configs, tails)
