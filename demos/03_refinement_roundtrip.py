@@ -15,8 +15,9 @@ MACHINES = Path(__file__).resolve().parent.parent / "machines"
 # The handwritten 6-state tick machine for the guarded pair.
 fsm = parse_document((MACHINES / "guarded_pair_abstract.fsm").read_text()).body
 
-# Refinement walks the tick transitions of each state with a clock-interval
-# cursor and reads off guards and a timeout.  Guards that touch are merged.
+# Refinement walks the tick transitions of each state, one clock interval
+# per tick, up to the first state it repeats, and reads off guards and a
+# timeout.  Each guard covers a whole run of intervals with one label.
 machine = refine(fsm)
 print(serialize(machine, "rebuilt"))
 

@@ -53,7 +53,7 @@ from .pipelines import (
     tfsm_equivalent,
     tfsm_intersect,
 )
-from .refinement import TimeProgressReport, is_time_progressive, merge_guards, refine
+from .refinement import TimeProgressReport, is_time_progressive, refine
 from .semantics import (
     MealyRun,
     RunResult,

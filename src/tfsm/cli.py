@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="rebuild a timed machine from a tick Mealy machine")
     p.add_argument("file")
     p.add_argument("-o", "--output", help="write to this file instead of stdout")
-    p.add_argument("--no-merge", action="store_true", help="keep guards as the delay walk found them")
+    p.add_argument("--no-merge", action="store_true", help="give one guard per clock region instead of one per run")
     p.set_defaults(handler=_cmd_refine)
 
     p = sub.add_parser("minimize", help="minimize an untimed machine")

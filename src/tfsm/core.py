@@ -19,6 +19,7 @@ violations as data so that broken machines can be inspected and reported.
 """
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -349,8 +350,7 @@ def _header_problems(machine: TimedMachine | MealyMachine) -> list[str]:
             problems.append(f"state {s!r} declared more than once")
         seen.add(s)
     for label, alphabet in (("input", machine.inputs), ("output", machine.outputs)):
-        dup = {a for a in alphabet if alphabet.count(a) > 1}
-        for a in sorted(dup):
+        for a in sorted(a for a, count in Counter(alphabet).items() if count > 1):
             problems.append(f"{label} symbol {a!r} declared more than once")
     if not machine.states:
         problems.append("machine has no states")

@@ -7,20 +7,21 @@ the abstractions yields a timed machine realizing the behavior common to
 both.  Both read the abstractions on demand, from breakpoint to breakpoint.
 Equivalence runs the exact search, region by region, only on a mismatch,
 for a shortest separating word; intersection walks only the pairs of
-configurations that refining the product keeps.  A separating word decodes
-back into a timed word -- each maximal block of ticks stands for half its
-length in time units -- and is confirmed by running both timed machines.
+configurations that refining the product keeps, with refinement's delay
+walk (:mod:`tfsm.refinement`).  A separating word decodes back into a
+timed word -- each maximal block of ticks stands for half its length in
+time units -- and is confirmed by running both timed machines.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 
 # abstract, product and refine are not called here; bench/spans.py still wraps them at this site.
 from .abstraction import TickView, abstract
-from .core import Guard, TimedMachine, TimedWord, Timeout, Transition, TICK, breadth_first
+from .core import TimedMachine, TimedWord, Timeout, Transition, TICK, breadth_first
 from .fsm_algebra import DEFINEDNESS_MISMATCH, OUTPUT_MISMATCH, check_same_inputs, equivalent, product
-from .refinement import refine
+from .refinement import refine, retime
 from .semantics import run
 
 
@@ -129,75 +130,37 @@ def tfsm_equivalent(a: TimedMachine, b: TimedMachine) -> TimedEquivalenceVerdict
     return TimedEquivalenceVerdict(False, word, kind, detail)
 
 
-def _delay_walk(a: TickView, b: TickView, ca, cb):
-    """The transitions ``(input, guard, (output, target))`` and timeout ``(bound, target)`` of a kept pair.
-
-    ``refine``'s walk first meets a pair seen before, ``P_mu``, ``end`` regions
-    on; an odd ``end`` takes one more region and times out to ``P_mu+1``.  Each
-    input keeps one open run of equal labels, so runs come out merged.
-    """
-    (mu_a, lam_a), (mu_b, lam_b) = a.lasso(ca), b.lasso(cb)
-    mu = max(mu_a, mu_b)
-    end = mu + lcm(lam_a, lam_b)
-    last = end - 1 + end % 2
-    timeout = ((last + 1) // 2, (a.after(ca, mu + end % 2), b.after(cb, mu + end % 2)))
-    transitions, runs, j = [], {}, 0
-    while j <= last:
-        (break_a, edges_a), (break_b, edges_b) = a.stretch(ca), b.stretch(cb)
-        for i in a.machine.inputs:
-            ea, eb = edges_a.get(i), edges_b.get(i)
-            label = (ea[0], (ea[1], eb[1])) if ea and eb and ea[0] == eb[0] else None
-            first, open_label = runs.get(i, (j, None))
-            if label != open_label:
-                if open_label is not None:
-                    transitions.append((i, Guard.of_regions(first, j - 1), open_label))
-                runs[i] = (j, label)
-        d = min(break_a - ca[1], break_b - cb[1], last + 1 - j)
-        # The tick out of the stretch's last region fires a timeout or stops at the tail.
-        ca, cb = a.get(((ca[0], ca[1] + d - 1), TICK))[1], b.get(((cb[0], cb[1] + d - 1), TICK))[1]
-        j += d
-    transitions.extend((i, Guard.of_regions(first, last), label) for i, (first, label) in runs.items() if label)
-    return transitions, timeout
-
-
 def tfsm_intersect(a: TimedMachine, b: TimedMachine) -> TimedMachine:
     """The behavior common to ``a`` and ``b``, as ``refine(product(abstract(a), abstract(b)))`` builds it.
 
     Only the pairs of configurations refinement keeps are walked, from
-    breakpoint to breakpoint, and named by their index in the product's
-    breadth-first order, searched until each has one.  Both machines must pass
-    :func:`~tfsm.core.validate_tfsm`; then refinement refuses nothing, since
-    reachable configurations always tick and no user symbol is the tick.
+    breakpoint to breakpoint, by refinement's delay walk over both tick views
+    (:func:`~tfsm.refinement.retime`), and named by their index in the
+    product's breadth-first order, searched until each has one.  Both machines
+    must pass :func:`~tfsm.core.validate_tfsm`; then refinement refuses
+    nothing, since reachable configurations always tick and no user symbol is
+    the tick.
     """
     check_same_inputs(a, b)
     view_a, view_b = TickView(a), TickView(b)
-    walks = {}
-
-    def kept(pair):
-        transitions, timeout = walks[pair] = _delay_walk(view_a, view_b, *pair)
-        return [target for *_, (_, target) in transitions] + [timeout[1]]
-
-    def product_moves(pair):
-        if not missing:
-            return ()
-        (ca, cb), edges_a, edges_b = pair, view_a.stretch(pair[0])[1], view_b.stretch(pair[1])[1]
-        moves = [(ea[1], eb[1]) for i, ea in edges_a.items() if (eb := edges_b.get(i)) and ea[0] == eb[0]]
-        moves.append((view_a.get((ca, TICK))[1], view_b.get((cb, TICK))[1]))
-        missing.difference_update(moves)
-        return moves
-
     start = (view_a.initial, view_b.initial)
-    breadth_first([start], kept)
-    missing = set(walks) - {start}
-    names = {pair: str(k) for k, pair in enumerate(breadth_first([start], product_moves)) if pair in walks}
-    return TimedMachine(
-        states=tuple(names.values()),
-        inputs=a.inputs,
-        outputs=a.outputs + tuple(o for o in b.outputs if o not in a.outputs),
-        initial="0",
-        transitions=tuple(Transition(names[p], i, g, o, names[t]) for p in names for i, g, (o, t) in walks[p][0]),
-        timeouts={names[p]: Timeout(walks[p][1][0], names[walks[p][1][1]]) for p in names},
-    )
+
+    def name(walks):
+        missing = set(walks) - {start}
+
+        def product_moves(pair):
+            if not missing:
+                return ()
+            (ca, cb), edges_a, edges_b = pair, view_a.stretch(pair[0])[1], view_b.stretch(pair[1])[1]
+            moves = [(ea[1], eb[1]) for i, ea in edges_a.items() if (eb := edges_b.get(i)) and ea[0] == eb[0]]
+            moves.append((view_a.get((ca, TICK))[1], view_b.get((cb, TICK))[1]))
+            missing.difference_update(moves)
+            return moves
+
+        return {pair: str(k) for k, pair in enumerate(breadth_first([start], product_moves)) if pair in walks}
+
+    outputs = a.outputs + tuple(o for o in b.outputs if o not in a.outputs)
+    return retime(view_a, view_b, start, name, a.inputs, outputs)
 
 
 def canonical_tfsm(machine: TimedMachine) -> TimedMachine:

@@ -1,19 +1,18 @@
 """Refinement: rebuilding a timed machine from a tick Mealy machine.
 
-Refinement inverts abstraction up to behavioral equivalence.  Each state of
-the Mealy machine becomes a state of the timed machine, and its guarded
-transitions and timeout are read off a *delay walk*: follow tick transitions
-while sliding a cursor through the clock intervals [0,0], (0,1), [1,1],
-(1,2), ...  At each stop, the user inputs defined there become transitions
-guarded by the cursor interval.  The walk ends as soon as its next stop is a
-state already visited (including the starting state itself): re-entering a
-visited state means the remaining behavior is that state's own behavior with
-the clock restarted, which is exactly what a timeout expresses.  An exit on
-an integer boundary [n,n] yields timeout bound ``n``; an exit inside an open
-interval (n,n+1) first replays the visited state's inputs under that guard
--- the timed machine can still accept inputs there before the clock hits
-``n+1`` -- and then times out to that state's own tick successor at bound
-``n + 1``.
+Refinement inverts abstraction up to behavioral equivalence.  Each kept
+state of the Mealy machine becomes a state of the timed machine, read off a
+*delay walk* along its tick chain, one state per clock region [0,0], (0,1),
+[1,1], (1,2), ...  The chain is a lasso: after ``mu + lam`` ticks it first
+meets a state it has seen, the one ``mu`` ticks on, whose behavior from
+there is its own with the clock restarted, which a timeout expresses.  An
+even end ``2n`` times out at bound ``n`` to that state.  An odd end lies
+inside (n,n+1): the walk covers one more region, where that state's inputs
+still apply, and times out at ``n + 1`` to the state ``mu + 1`` ticks on.
+Each user input's regions of equal output and target form one guard.  The
+same walk over two tick views builds the intersection of two timed machines
+(:func:`~tfsm.pipelines.tfsm_intersect`); refinement walks a machine's tick
+chain against itself.
 
 Only *time-progressive* machines are refinable: every state must let time
 pass, i.e. carry a tick transition that outputs the tick.  States violating
@@ -21,6 +20,7 @@ that are reported by :func:`is_time_progressive`.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from .core import Guard, MealyMachine, TimedMachine, Timeout, Transition, TICK, breadth_first
 
@@ -43,38 +43,115 @@ def is_time_progressive(fsm: MealyMachine) -> TimeProgressReport:
     return TimeProgressReport(not offenders, tuple(offenders))
 
 
-def _refine_state(fsm: MealyMachine, start: str):
-    """Delay-walk one state into its guarded transitions and timeout."""
-    inputs, edges = fsm.user_inputs, fsm.transitions
-    transitions = []
-    marked = {start}
-    state = start
-    position = 0
-    closing = False
-    while True:
-        moves = [(i, edge) for i in inputs if (edge := edges.get((state, i))) is not None]
-        if moves:
-            guard = Guard.of_regions(position, position)
-            transitions.extend(Transition(start, i, guard, o, target) for i, (o, target) in moves)
-        nxt = edges[(state, TICK)][1]
-        position += 1
-        if closing or nxt in marked:
-            if position % 2 == 0:
-                return transitions, Timeout(position // 2, nxt)
-            # Exit inside (n,n+1): inputs of the revisited state are still
-            # acceptable until the clock reaches n+1, then time out to its
-            # own tick successor.
-            closing = True
-        marked.add(nxt)
-        state = nxt
+class _TickChain:
+    """A Mealy machine's tick edges, read as :func:`_delay_walk` reads a tick view.
+
+    A configuration is ``(state, 0)`` and each stretch is one region, so
+    every tick moves on to the next state of the chain.
+    """
+
+    def __init__(self, fsm: MealyMachine):
+        self.machine, self.inputs, self.edges = self, fsm.user_inputs, fsm.transitions
+        self._chain, self._moves = (None, [], 0), {}
+
+    def get(self, key):
+        output, target = self.edges[(key[0][0], key[1])]
+        return output, (target, 0)
+
+    def stretch(self, config):
+        state = config[0]
+        if state not in self._moves:
+            edges = ((i, self.edges.get((state, i))) for i in self.inputs)
+            self._moves[state] = {i: (edge[0], (edge[1], 0)) for i, edge in edges if edge}
+        return config[1] + 1, self._moves[state]
+
+    def _walk(self, start):
+        """The states ticking from ``start`` up to the first repeat, and the repeat's index; kept for one start."""
+        if self._chain[0] != start:
+            chain, seen = [start], {start: 0}
+            while (state := self.edges[(chain[-1], TICK)][1]) not in seen:
+                seen[state] = len(chain)
+                chain.append(state)
+            self._chain = (start, chain, seen[state])
+        return self._chain[1:]
+
+    def lasso(self, config):
+        chain, mu = self._walk(config[0])
+        return mu, len(chain) - mu
+
+    def after(self, config, n):
+        chain, mu = self._walk(config[0])
+        return chain[min(n, mu + (n - mu) % (len(chain) - mu))], 0
+
+
+def _delay_walk(a, b, ca, cb):
+    """The transitions ``(input, guard, (output, target))`` and timeout ``(bound, target)`` of a kept pair.
+
+    ``a`` and ``b`` are tick views (:class:`~tfsm.abstraction.TickView` or
+    :class:`_TickChain`).  The walk first meets a pair seen before, ``P_mu``,
+    ``end`` regions on; an odd ``end`` takes one more region and times out to
+    ``P_mu+1``.  Each input keeps one open run of equal labels, so runs come
+    out merged.
+    """
+    (mu_a, lam_a), (mu_b, lam_b) = a.lasso(ca), b.lasso(cb)
+    mu = max(mu_a, mu_b)
+    end = mu + lcm(lam_a, lam_b)
+    last = end - 1 + end % 2
+    timeout = ((last + 1) // 2, (a.after(ca, mu + end % 2), b.after(cb, mu + end % 2)))
+    transitions, runs, j = [], {}, 0
+    while j <= last:
+        (break_a, edges_a), (break_b, edges_b) = a.stretch(ca), b.stretch(cb)
+        for i in a.machine.inputs:
+            ea, eb = edges_a.get(i), edges_b.get(i)
+            label = (ea[0], (ea[1], eb[1])) if ea and eb and ea[0] == eb[0] else None
+            first, open_label = runs.get(i, (j, None))
+            if label != open_label:
+                if open_label is not None:
+                    transitions.append((i, Guard.of_regions(first, j - 1), open_label))
+                runs[i] = (j, label)
+        d = min(break_a - ca[1], break_b - cb[1], last + 1 - j)
+        # The tick out of the stretch's last region fires a timeout or stops at the tail.
+        ca, cb = a.get(((ca[0], ca[1] + d - 1), TICK))[1], b.get(((cb[0], cb[1] + d - 1), TICK))[1]
+        j += d
+    transitions.extend((i, Guard.of_regions(first, last), label) for i, (first, label) in runs.items() if label)
+    return transitions, timeout
+
+
+def retime(a, b, start, name, inputs, outputs, merge=True) -> TimedMachine:
+    """The timed machine of the delay walks of ``a`` against ``b``, closed breadth-first from the pair ``start``.
+
+    ``name(walks)`` maps each kept pair to its state name, in state order.
+    Each run becomes one guard, or with ``merge`` false one guard per region.
+    """
+    walks = {}
+
+    def kept(pair):
+        transitions, timeout = walks[pair] = _delay_walk(a, b, *pair)
+        return [target for *_, (_, target) in transitions] + [timeout[1]]
+
+    breadth_first([start], kept)
+    names = name(walks)
+    runs = [(names[p], i, g, o, names[t]) for p in names for i, g, (o, t) in walks[p][0]]
+    if not merge:
+        runs = [(p, i, Guard.of_regions(k, k), o, t)
+                for p, i, g, o, t in runs for k in range(g.regions[0], g.regions[1] + 1)]
+    return TimedMachine(
+        states=tuple(names.values()),
+        inputs=inputs,
+        outputs=outputs,
+        initial=names[start],
+        transitions=tuple(Transition(*run) for run in runs),
+        timeouts={names[p]: Timeout(walks[p][1][0], names[walks[p][1][1]]) for p in names},
+    )
 
 
 def refine(fsm: MealyMachine, merge: bool = True) -> TimedMachine:
     """The timed machine whose tick behavior is that of ``fsm``.
 
     States unreachable in the result are dropped (reachability counts both
-    transition targets and timeout targets).  Unless ``merge`` is false,
-    guards of same-labelled transitions that touch are merged afterwards.
+    transition targets and timeout targets).  The walk's runs come out
+    merged: each guard covers a maximal run of regions with one label,
+    unless ``merge`` is false, which gives one guard per region.
     The machine must pass :func:`~tfsm.core.validate_fsm`: a tick edge into
     an undeclared state makes the delay walk raise ``KeyError``.
     """
@@ -87,57 +164,10 @@ def refine(fsm: MealyMachine, merge: bool = True) -> TimedMachine:
         s, i = min(ticking)
         raise ValueError(f"input {i} at state {s} outputs the tick symbol; cannot be a guarded move")
 
-    # Only states reachable in the result are walked: breadth_first visits
-    # each once, and its refined transitions and timeout are its successors.
-    refined = {}
+    # A deterministic machine walked against itself reaches only pairs (s, s).
+    chain, start = _TickChain(fsm), (fsm.initial, 0)
 
-    def targets(s):
-        transitions, timeout = refined[s] = _refine_state(fsm, s)
-        return [t.target for t in transitions] + [timeout.target]
+    def name(walks):
+        return {(c, c): c[0] for c in ((s, 0) for s in fsm.states) if (c, c) in walks}
 
-    breadth_first([fsm.initial], targets)
-
-    states = tuple(s for s in fsm.states if s in refined)
-    machine = TimedMachine(
-        states=states,
-        inputs=fsm.user_inputs,
-        outputs=fsm.user_outputs,
-        initial=fsm.initial,
-        transitions=tuple(t for s in states for t in refined[s][0]),
-        timeouts={s: refined[s][1] for s in states},
-    )
-    return merge_guards(machine) if merge else machine
-
-
-def merge_guards(machine: TimedMachine) -> TimedMachine:
-    """Merge guards of transitions sharing source, input, output and target.
-
-    Guards whose union is again a single interval are replaced by that
-    union, repeatedly, until no two remain mergeable.  The behavior of the
-    machine is unchanged: no clock value is added or lost.
-    """
-    groups: dict[tuple[str, str, str, str], list[tuple]] = {}
-    for t in machine.transitions:
-        groups.setdefault((t.source, t.input, t.output, t.target), []).append(t.guard.regions)
-
-    merged_transitions = []
-    for (source, i, o, target), ranges in groups.items():
-        # Sorted by first region, a range touches the union before it iff
-        # it starts at most one region past that union's end.
-        ranges.sort()
-        merged = [ranges[0]]
-        for first, last in ranges[1:]:
-            if first <= merged[-1][1] + 1:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], last))
-            else:
-                merged.append((first, last))
-        merged_transitions.extend(Transition(source, i, Guard.of_regions(*r), o, target) for r in merged)
-
-    return TimedMachine(
-        states=machine.states,
-        inputs=machine.inputs,
-        outputs=machine.outputs,
-        initial=machine.initial,
-        transitions=tuple(merged_transitions),
-        timeouts=machine.timeouts,
-    )
+    return retime(chain, chain, (start, start), name, fsm.user_inputs, fsm.user_outputs, merge)

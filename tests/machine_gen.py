@@ -7,7 +7,9 @@ Everything is driven by a caller-supplied ``random.Random`` so failures
 reproduce from the seed alone.  ``guards_disjoint``, ``admissible``,
 ``guard_contains``, ``interval_contains``, ``representative`` and
 ``interval_of`` are small facts about guards, clock intervals and
-configurations that several suites check against.
+configurations that several suites check against, and
+``interval_merge_guards`` joins touching guards of equal label, by cases
+on their endpoints.
 """
 
 import random
@@ -226,3 +228,44 @@ def conjunction_agrees(meet: TimedMachine, a: TimedMachine, b: TimedMachine,
     if k == len(word):
         return rm.accepted and rm.outputs == ra.outputs[:k]
     return not rm.accepted and rm.rejection_point == k and rm.outputs == ra.outputs[:k]
+
+
+def interval_merge_guards(machine):
+    """Join the guards of transitions with one source, input, output and target wherever their union is one interval.
+
+    Touch and union are decided by cases on the endpoints and their closedness.
+    """
+
+    def touching(g1, g2):
+        if g1.upper is None:
+            return True
+        if g2.lower < g1.upper:
+            return True
+        return g2.lower == g1.upper and (g1.upper_closed or g2.lower_closed)
+
+    def union(g1, g2):
+        if g1.upper is None or (g2.upper is not None and g2.upper < g1.upper):
+            upper, upper_closed = g1.upper, g1.upper_closed
+        elif g2.upper is None or g2.upper > g1.upper:
+            upper, upper_closed = g2.upper, g2.upper_closed
+        else:
+            upper, upper_closed = g1.upper, g1.upper_closed or g2.upper_closed
+        return Guard(g1.lower, upper, g1.lower_closed, upper_closed)
+
+    groups = {}
+    for t in machine.transitions:
+        groups.setdefault((t.source, t.input, t.output, t.target), []).append(t.guard)
+    merged_transitions = []
+    for (source, i, o, target), guards in groups.items():
+        guards.sort(key=lambda g: (g.lower, not g.lower_closed))
+        merged = [guards[0]]
+        for g in guards[1:]:
+            if touching(merged[-1], g):
+                merged[-1] = union(merged[-1], g)
+            else:
+                merged.append(g)
+        merged_transitions.extend(Transition(source, i, g, o, target) for g in merged)
+    return TimedMachine(
+        machine.states, machine.inputs, machine.outputs, machine.initial,
+        tuple(merged_transitions), machine.timeouts,
+    )

@@ -47,6 +47,14 @@ class TestValidate:
         assert main(["validate", "no/such/file.tfsm"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_a_wide_alphabet_with_one_repeat_answers_at_once(self, tmp_path, capsys):
+        wide = tmp_path / "wide.tfsm"
+        inputs = " ".join(f"i{k}" for k in range(30_000))
+        wide.write_text(f"tfsm wide\ninputs {inputs} i7\noutputs o\nstates A\ninitial A\ntimeout A inf\n")
+        with budget(2):
+            assert main(["validate", str(wide)]) == 2
+        assert capsys.readouterr() == ("", f"{wide}: input symbol 'i7' declared more than once\n")
+
 
 class TestSimulate:
     def test_accepted_word_prints_outputs(self, capsys):

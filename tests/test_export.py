@@ -4,7 +4,6 @@ from tfsm import (
     Guard,
     TimedMachine,
     Timeout,
-    Transition,
     abstract,
     export_dot,
     export_timed_automaton,

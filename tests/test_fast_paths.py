@@ -2,29 +2,28 @@
 
 ``step`` and the tick view's input moves find a guard by bisection in the
 machine's index of clock regions, ``refine`` walks only the states its
-result reaches, and its delay walk builds a guard only at a tick where
-some input is defined and takes an exit inside (n,n+1) as one more turn of
-its loop, ``minimize`` refines partitions by Hopcroft's algorithm,
-``abstract``, ``tfsm_equivalent`` and ``check_bisimulation`` read the tick
-abstraction on integer clock regions, the first two without building it,
+result reaches, with the delay walk of ``tfsm_intersect`` run over a
+machine's tick chain against itself, whose runs come out merged,
+``minimize`` refines partitions by Hopcroft's algorithm, ``abstract``,
+``tfsm_equivalent`` and ``check_bisimulation`` read the tick abstraction on
+integer clock regions, the first two without building it,
 ``tfsm_equivalent`` decides by a walk from breakpoint to breakpoint and
 searches region by region only to explain a mismatch, ``tfsm_intersect``
 walks only the pairs its result keeps, from breakpoint to breakpoint, with
 ``TickView.lasso`` and ``after`` jumping along timeout chains,
-``equivalent`` keeps one parent pointer per pair, ``merge_guards``
-joins guards as ranges of clock regions, ``validate_tfsm`` reads the
-overlapping guards off the guard index, and ``product``, ``reachable``,
-``canonical_fsm`` and ``canonical_tfsm`` search through the shared
-``breadth_first``.  The functions below are the earlier linear guard scans,
-the eager refinement loop over the tick-by-tick delay walk, the
-Moore-round minimization, the abstraction and the bisimulation checker
+``equivalent`` keeps one parent pointer per pair, ``validate_tfsm`` reads
+the overlapping guards off the guard index, and ``product``,
+``reachable``, ``canonical_fsm`` and ``canonical_tfsm`` search through the
+shared ``breadth_first``.  The functions below are the earlier linear
+guard scans, the eager refinement loop over the tick-by-tick delay walk
+(merged by ``machine_gen.interval_merge_guards``, by cases on endpoints),
+the Moore-round minimization, the abstraction and the bisimulation checker
 over clock intervals, the equivalence search that carries a prefix per
 pair, the timed equivalence that always searches region by region, the
 paper's intersection (``refine`` of the ``product`` of both abstractions)
-and a tick-by-tick chain, the guard merge by cases on endpoints, the
-searches with their own deque loops and the validator that grouped
-transitions itself, kept as references: the fast paths must return equal
-results, in equal order.
+and a tick-by-tick chain, the searches with their own deque loops and the
+validator that grouped transitions itself, kept as references: the fast
+paths must return equal results, in equal order.
 """
 
 import math
@@ -65,7 +64,6 @@ from tfsm import (
     equivalent,
     interval_set,
     max_constant,
-    merge_guards,
     minimize,
     parse_document,
     product,
@@ -76,17 +74,18 @@ from tfsm import (
     tfsm_intersect,
     validate_tfsm,
 )
-from tfsm import pipelines
+from tfsm import refinement
 from tfsm.abstraction import TickView
 from tfsm.core import _header_problems, breadth_first
 from tfsm.fsm_algebra import _input_order, reachable
-from tfsm.refinement import _refine_state, is_time_progressive
+from tfsm.refinement import _delay_walk, _TickChain, is_time_progressive
 from conftest import MACHINES, budget
 from machine_gen import (
     admissible,
     edited_ring_texts,
     guard_contains,
     guards_disjoint,
+    interval_merge_guards,
     machine_pool,
     random_tfsm,
     random_time_progressive_fsm,
@@ -123,7 +122,7 @@ def _user_moves(fsm, state):
 
 
 def tick_by_tick_refine_state(fsm, start):
-    """``_refine_state`` with a guard per tick and its own emission for an exit inside (n,n+1)."""
+    """One state's delay walk over visited states, a guard per tick, and its own emission for an exit in (n,n+1)."""
     transitions = []
     marked = {start}
     state = start
@@ -178,7 +177,7 @@ def eager_refine(fsm, merge=True):
         transitions=tuple(t for s in states for t in refined[s][0]),
         timeouts={s: refined[s][1] for s in states},
     )
-    return merge_guards(machine) if merge else machine
+    return interval_merge_guards(machine) if merge else machine
 
 
 def interval_tick_successor(machine, n_max, state, interval):
@@ -431,44 +430,6 @@ def grouped_validate_tfsm(machine):
             )
 
     return problems
-
-
-def interval_merge_guards(machine):
-    """``merge_guards`` deciding touch and union by cases on endpoints and their closedness."""
-
-    def touching(g1, g2):
-        if g1.upper is None:
-            return True
-        if g2.lower < g1.upper:
-            return True
-        return g2.lower == g1.upper and (g1.upper_closed or g2.lower_closed)
-
-    def union(g1, g2):
-        if g1.upper is None or (g2.upper is not None and g2.upper < g1.upper):
-            upper, upper_closed = g1.upper, g1.upper_closed
-        elif g2.upper is None or g2.upper > g1.upper:
-            upper, upper_closed = g2.upper, g2.upper_closed
-        else:
-            upper, upper_closed = g1.upper, g1.upper_closed or g2.upper_closed
-        return Guard(g1.lower, upper, g1.lower_closed, upper_closed)
-
-    groups = {}
-    for t in machine.transitions:
-        groups.setdefault((t.source, t.input, t.output, t.target), []).append(t.guard)
-    merged_transitions = []
-    for (source, i, o, target), guards in groups.items():
-        guards.sort(key=lambda g: (g.lower, not g.lower_closed))
-        merged = [guards[0]]
-        for g in guards[1:]:
-            if touching(merged[-1], g):
-                merged[-1] = union(merged[-1], g)
-            else:
-                merged.append(g)
-        merged_transitions.extend(Transition(source, i, g, o, target) for g in merged)
-    return TimedMachine(
-        machine.states, machine.inputs, machine.outputs, machine.initial,
-        tuple(merged_transitions), machine.timeouts,
-    )
 
 
 def every_guard(top):
@@ -833,31 +794,11 @@ def test_merge_guards_matches_the_endpoint_cases_on_refined_machines():
     merged = 0
     for _ in range(200):
         fsm = random_time_progressive_fsm(rng)
-        unmerged = refine(fsm, merge=False)
-        fast = merge_guards(unmerged)
+        unmerged, fast = refine(fsm, merge=False), refine(fsm)
         assert fast == interval_merge_guards(unmerged), f"{fsm}"
-        assert fast == refine(fsm)
         merged += len(unmerged.transitions) - len(fast.transitions)
         for _ in range(20):
             random_timed_word(rng, fast.inputs)
-    assert merged > 0
-
-
-def test_merge_guards_matches_the_endpoint_cases_on_random_guard_lists():
-    rng = random.Random(235711)
-    merged = 0
-    for _ in range(3000):
-        # Overlapping, nested, touching and repeated guards, in two groups per target.
-        transitions = tuple(
-            Transition("s", "i", random_guard(rng, 8), rng.choice(("o1", "o2")), rng.choice(("s", "t")))
-            for _ in range(rng.randint(1, 6))
-        )
-        machine = TimedMachine(
-            ("s", "t"), ("i",), ("o1", "o2"), "s", transitions, {"s": Timeout(None), "t": Timeout(None)},
-        )
-        fast = merge_guards(machine)
-        assert fast == interval_merge_guards(machine), f"{machine}"
-        merged += len(machine.transitions) - len(fast.transitions)
     assert merged > 0
 
 
@@ -1021,6 +962,14 @@ def exits_inside_an_interval(fsm, start):
     return len(seen) % 2 == 1
 
 
+def chain_walk(fsm, s):
+    """The delay walk of ``s`` over its tick chain against itself, as a machine with ``s``'s transitions and timeout."""
+    chain = _TickChain(fsm)
+    runs, (bound, (target, _)) = _delay_walk(chain, chain, (s, 0), (s, 0))
+    transitions = [Transition(s, i, g, o, t[0]) for i, g, (o, (t, _)) in runs]
+    return TimedMachine(fsm.states, fsm.user_inputs, fsm.user_outputs, s, transitions, {s: Timeout(bound, target[0])})
+
+
 def test_refine_state_matches_the_tick_by_tick_walk():
     rng = random.Random(223606)
     machines = [random_time_progressive_fsm(rng) for _ in range(2000)]
@@ -1028,7 +977,9 @@ def test_refine_state_matches_the_tick_by_tick_walk():
     walks = inside = 0
     for fsm in machines:
         for s in fsm.states:
-            assert _refine_state(fsm, s) == tick_by_tick_refine_state(fsm, s), f"{fsm}\n{s}"
+            transitions, timeout = tick_by_tick_refine_state(fsm, s)
+            slow = TimedMachine(fsm.states, fsm.user_inputs, fsm.user_outputs, s, transitions, {s: timeout})
+            assert chain_walk(fsm, s) == interval_merge_guards(slow), f"{fsm}\n{s}"
             walks += 1
             inside += exits_inside_an_interval(fsm, s)
     # Both exits must occur often, or one branch of the walk is not exercised.
@@ -1485,14 +1436,16 @@ def assert_same_intersection(a, b):
 
 def test_tfsm_intersect_matches_the_paper_construction(monkeypatch):
     walks = []
-    delay_walk = pipelines._delay_walk
+    delay_walk = refinement._delay_walk
 
     def recording(a, b, ca, cb):
-        (mu_a, lam_a), (mu_b, lam_b) = a.lasso(ca), b.lasso(cb)
-        walks.append(((max(mu_a, mu_b) + math.lcm(lam_a, lam_b)) % 2, 1 in (lam_a, lam_b)))
+        # Only the walks over tick views; the oracle's refine walks its own chains.
+        if isinstance(a, TickView):
+            (mu_a, lam_a), (mu_b, lam_b) = a.lasso(ca), b.lasso(cb)
+            walks.append(((max(mu_a, mu_b) + math.lcm(lam_a, lam_b)) % 2, 1 in (lam_a, lam_b)))
         return delay_walk(a, b, ca, cb)
 
-    monkeypatch.setattr(pipelines, "_delay_walk", recording)
+    monkeypatch.setattr(refinement, "_delay_walk", recording)
     pairs = other_n = 0
     for a, b in intersect_pairs(271828, 3000):
         assert not validate_tfsm(a) and not validate_tfsm(b)
@@ -1565,3 +1518,23 @@ def test_lasso_and_after_match_the_tick_by_tick_loop():
             tails += lam == 1
     # Both tails and timeout cycles must occur.
     assert configs > 5000 and 1000 < tails < configs - 1000, (configs, tails)
+
+
+def test_chain_lasso_and_after_match_the_tick_by_tick_loop():
+    rng = random.Random(173205080)
+    machines = [random_time_progressive_fsm(rng) for _ in range(300)]
+    machines += [minimize(abstract(machine)) for machine in machine_pool()[:200]]
+    starts = tails = 0
+    for fsm in machines:
+        chain = _TickChain(fsm)
+        for s in fsm.states:
+            states, mu = tick_chain(chain, (s, 0))
+            lam = len(states) - mu
+            assert chain.lasso((s, 0)) == (mu, lam), f"{fsm}\n{s}"
+            for n in [*range(len(states) + 3), rng.randrange(10**12), 10**12]:
+                expected = states[n] if n < len(states) else states[mu + (n - mu) % lam]
+                assert chain.after((s, 0), n) == expected, f"{fsm}\n{s} {n}"
+            starts += 1
+            tails += lam == 1
+    # Both self-ticking tails and longer cycles must occur.
+    assert starts > 5000 and 1000 < tails < starts - 1000, (starts, tails)

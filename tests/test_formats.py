@@ -6,7 +6,6 @@ from tfsm import (
     Guard,
     MealyMachine,
     ParseError,
-    TimedMachine,
     Timeout,
     Transition,
     parse_document,

@@ -8,20 +8,16 @@ from tfsm import (
     TICK,
     Guard,
     MealyMachine,
-    TimedMachine,
-    Timeout,
-    Transition,
     abstract,
     canonical_bisimulation,
     canonical_tfsm,
     check_bisimulation,
     is_time_progressive,
-    merge_guards,
     refine,
     tfsm_equivalent,
     validate_tfsm,
 )
-from machine_gen import random_time_progressive_fsm, random_timed_word, ticks_agree
+from machine_gen import interval_merge_guards, random_time_progressive_fsm, random_timed_word, ticks_agree
 
 
 def clocked(states, transitions):
@@ -103,7 +99,7 @@ class TestRefine:
     def test_merging_unions_adjacent_guards(self, guarded_pair_abstract):
         raw = refine(guarded_pair_abstract, merge=False)
         merged = refine(guarded_pair_abstract)
-        assert merge_guards(raw) == merged
+        assert interval_merge_guards(raw) == merged
         assert len(merged.transitions) <= len(raw.transitions)
         # Unmerged guards are atoms: single points or unit open intervals.
         for t in raw.transitions:
@@ -134,65 +130,50 @@ class TestRefine:
 
 
 class TestMergeGuards:
-    def _machine(self, *guards):
-        return TimedMachine(
-            states=("s",),
-            inputs=("i",),
-            outputs=("o",),
-            initial="s",
-            transitions=tuple(Transition("s", "i", g, "o", "s") for g in guards),
-            timeouts={"s": Timeout(None)},
-        )
+    """Runs of one label become one guard: each case refines the tick machine of a one-state timed machine."""
+
+    def _guards(self, *labels):
+        """Refine the tick chain ``r0 -> r1 -> ...`` whose last state ticks to itself.
+
+        Input ``i`` at ``r<k>`` answers ``labels[k]`` and returns to ``r0``;
+        ``None`` leaves it undefined.  The guards of ``r0``, as ``(guard, output)``.
+        """
+        states = [f"r{k}" for k in range(len(labels))]
+        transitions = {(s, TICK): (TICK, states[min(k + 1, len(states) - 1)]) for k, s in enumerate(states)}
+        transitions.update({(s, "i"): (o, "r0") for s, o in zip(states, labels) if o})
+        fsm = MealyMachine(tuple(states), ("i", TICK), ("o", "o1", "o2", TICK), "r0", transitions)
+        merged = refine(fsm)
+        assert merged == interval_merge_guards(refine(fsm, merge=False))
+        return [(t.guard, t.output) for t in merged.transitions if t.source == "r0"]
 
     def test_touching_guards_fuse(self):
-        machine = self._machine(
-            Guard(0, 0, True, True),
-            Guard(0, 1, False, False),
-            Guard(1, 2, True, True),
-        )
-        merged = merge_guards(machine)
-        assert [t.guard for t in merged.transitions] == [Guard(0, 2, True, True)]
+        # [0,0], (0,1) and [1,2]: regions 0 to 4.
+        assert self._guards("o", "o", "o", "o", "o", None) == [(Guard(0, 2, True, True), "o")]
 
     def test_gaps_survive(self):
-        machine = self._machine(
-            Guard(0, 1, True, False),
-            Guard(2, 3, True, False),
-        )
-        merged = merge_guards(machine)
-        assert [t.guard for t in merged.transitions] == [
-            Guard(0, 1, True, False),
-            Guard(2, 3, True, False),
+        # [0,1) and [2,3): regions 0, 1 and 4, 5.
+        assert self._guards("o", "o", None, None, "o", "o") == [
+            (Guard(0, 1, True, False), "o"),
+            (Guard(2, 3, True, False), "o"),
         ]
 
     def test_open_endpoints_that_only_meet_do_not_fuse(self):
-        machine = self._machine(
-            Guard(0, 1, True, False),
-            Guard(1, 2, False, False),
-        )
-        merged = merge_guards(machine)
-        assert len(merged.transitions) == 2
+        # [0,1) and (1,2): regions 0, 1 and 3.
+        assert self._guards("o", "o", None, "o", None, None) == [
+            (Guard(0, 1, True, False), "o"),
+            (Guard(1, 2, False, False), "o"),
+        ]
 
     def test_unbounded_tail_absorbs_its_neighbour(self):
-        machine = self._machine(
-            Guard(0, 2, True, True),
-            Guard(2, None, False, False),
-        )
-        merged = merge_guards(machine)
-        assert [t.guard for t in merged.transitions] == [Guard(0, None, True, False)]
+        # [0,2] and the tail (2,inf): the tail's region joins the run before the timeout.
+        assert self._guards("o", "o", "o", "o", "o", "o") == [(Guard(0, 3, True, False), "o")]
 
     def test_different_outputs_never_fuse(self):
-        machine = TimedMachine(
-            states=("s",),
-            inputs=("i",),
-            outputs=("o1", "o2"),
-            initial="s",
-            transitions=(
-                Transition("s", "i", Guard(0, 1, True, False), "o1", "s"),
-                Transition("s", "i", Guard(1, 2, True, False), "o2", "s"),
-            ),
-            timeouts={"s": Timeout(None)},
-        )
-        assert merge_guards(machine) == machine
+        # [0,1) answering o1 and [1,2) answering o2.
+        assert self._guards("o1", "o1", "o2", "o2") == [
+            (Guard(0, 1, True, False), "o1"),
+            (Guard(1, 2, True, False), "o2"),
+        ]
 
 
 class TestRefinementAgainstRandomMachines:
