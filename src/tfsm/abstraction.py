@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from math import inf
 
-from .core import MealyMachine, TimedMachine, TICK, breadth_first
+from .core import MealyMachine, TimedMachine, TICK, breadth_first, _covering
 
 _KINDS = ("point", "open", "tail")
 
@@ -128,9 +128,9 @@ def _tick(machine: TimedMachine, top: int, state: str, k: int):
 class TickView:
     """The tick abstraction of a timed machine, computed on demand.
 
-    It reads like the :class:`~tfsm.core.MealyMachine` that :func:`abstract`
-    builds, over configurations ``(state, k)`` with ``k`` the clock region
-    (:attr:`ClockInterval.region`); ``transitions.get`` computes each move.
+    Its configurations ``(state, k)``, with ``k`` the clock region
+    (:attr:`ClockInterval.region`), stand for the states of the
+    :class:`~tfsm.core.MealyMachine` that :func:`abstract` builds.
     """
 
     def __init__(self, machine: TimedMachine):
@@ -139,7 +139,6 @@ class TickView:
         self.initial = (machine.initial, 0)
         self.inputs = machine.inputs + (TICK,)
         self.outputs = machine.outputs + (TICK,)
-        self.transitions = self
         self._breaks, self._edges = {}, {}
 
     def get(self, key):
@@ -152,10 +151,11 @@ class TickView:
 
     def moves(self, config):
         """``(symbol, (output, successor))`` per move: the tick first, then inputs in guard-index order."""
-        for i in (TICK, *self.machine.guard_index().get(config[0], ())):
-            edge = self.get((config, i))
-            if edge is not None:
-                yield i, edge
+        if (tick := self.get((config, TICK))) is not None:
+            yield TICK, tick
+        for i, entry in self.machine.guard_index().get(config[0], {}).items():
+            if (t := _covering(entry, config[1])) is not None:
+                yield i, (t.output, (t.target, 0))
 
     def breakpoint(self, config):
         """The first region past ``config``'s where its input moves may change, or ``inf``.

@@ -209,13 +209,14 @@ class TimedMachine:
         :func:`validate_tfsm`, whose guards per (state, input) are disjoint.
         """
         entry = self.guard_index().get(state, {}).get(symbol)
-        if entry is None:
-            return None
-        starts, ends, group = entry
-        k = bisect_right(starts, region) - 1
-        if k >= 0 and region <= ends[k]:
-            return group[k]
-        return None
+        return None if entry is None else _covering(entry, region)
+
+
+def _covering(entry, region: int) -> "Transition | None":
+    """The transition of a :meth:`TimedMachine.guard_index` entry whose guard covers ``region``, by bisection."""
+    starts, ends, group = entry
+    k = bisect_right(starts, region) - 1
+    return group[k] if k >= 0 and region <= ends[k] else None
 
 
 @dataclass(frozen=True)

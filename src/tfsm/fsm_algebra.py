@@ -53,10 +53,9 @@ def equivalent(a: MealyMachine, b: MealyMachine) -> EquivalenceVerdict:
     """Decide behavioral equivalence; on failure carry a shortest counterexample.
 
     Inputs outside a machine's alphabet count as undefined everywhere, so
-    machines over different alphabets can still be compared.  Only
-    ``initial``, ``inputs`` and ``transitions.get`` are read, so a side may be
-    computed on demand.  Each pair points back to the pair it was reached
-    from, and the word is spelled out only on a mismatch.
+    machines over different alphabets can still be compared.  Each pair
+    points back to the pair it was reached from, and the word is spelled out
+    only on a mismatch.
     """
     inputs = _input_order(a, b)
     start = (a.initial, b.initial)

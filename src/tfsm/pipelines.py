@@ -5,22 +5,23 @@ untimed questions about their tick abstractions: two timed machines are
 equivalent exactly when their abstractions are, and refining the product of
 the abstractions yields a timed machine realizing the behavior common to
 both.  Both read the abstractions on demand, from breakpoint to breakpoint.
-Equivalence runs the exact search, region by region, only on a mismatch,
-for a shortest separating word; intersection walks only the pairs of
-configurations that refining the product keeps, with refinement's delay
-walk (:mod:`tfsm.refinement`).  A separating word decodes back into a
-timed word -- each maximal block of ticks stands for half its length in
-time units -- and is confirmed by running both timed machines.
+Equivalence walks the pairs of configurations both reach together and
+spells a shortest separating word from their distances to a mismatch;
+intersection walks only the pairs that refining the product keeps, with
+refinement's delay walk (:mod:`tfsm.refinement`).  A separating word
+decodes back into a timed word -- each maximal block of ticks stands for
+half its length in time units -- and is confirmed by running both machines.
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-# abstract, product and refine are not called here; bench/spans.py still wraps them at this site.
+# abstract, equivalent, product and refine are not called here; bench/spans.py still wraps them at this site.
 from .abstraction import TickView, abstract
 from .core import TimedMachine, TimedWord, Timeout, Transition, TICK, breadth_first
-from .fsm_algebra import DEFINEDNESS_MISMATCH, OUTPUT_MISMATCH, check_same_inputs, equivalent, product
+from .fsm_algebra import DEFINEDNESS_MISMATCH, OUTPUT_MISMATCH, _input_order, check_same_inputs, equivalent, product
 from .refinement import refine, retime
 from .semantics import run
 
@@ -40,75 +41,95 @@ class TimedEquivalenceVerdict:
     detail: str = ""
 
 
+def _timed_word(runs) -> TimedWord:
+    """The timed word of ``(ticks, input)`` runs: each run waits ``ticks/2`` time units, then reads its input."""
+    entries, now = [], Fraction(0)
+    for ticks, sym in runs:
+        now += Fraction(ticks, 2)
+        entries.append((sym, now))
+    return TimedWord(tuple(entries))
+
+
 def decode_tick_word(symbols) -> TimedWord:
     """Turn a sequence over user inputs and ticks back into a timed word.
 
     Each maximal run of ``k`` ticks contributes a delay of ``k/2`` time
     units before the following input symbol.
     """
-    entries = []
-    now = Fraction(0)
-    ticks = 0
+    runs, ticks = [], 0
     for sym in symbols:
         if sym == TICK:
             ticks += 1
         else:
-            now += Fraction(ticks, 2)
-            entries.append((sym, now))
+            runs.append((ticks, sym))
             ticks = 0
     if ticks:
         raise ValueError("a decodable tick word ends with a user input, not a tick")
-    return TimedWord(tuple(entries))
+    return _timed_word(runs)
 
 
-class _Parted(Exception):
-    """Two tick views disagree on an input at a pair of configurations they reach together."""
+def _separating_word(a: TickView, b: TickView) -> TimedWord | None:
+    """The shortlex-least tick word that parts the views, decoded from its runs; None if none does.
 
-
-def _coarse_equivalent(a: TickView, b: TickView) -> bool:
-    """True iff no pair of configurations the two views reach together disagrees on an input.
-
-    From each pair, every input is compared once and the pair it enters is
-    queued, and so is the pair both clocks tick on to at the nearer
-    :meth:`~tfsm.abstraction.TickView.breakpoint`.  No move changes in
-    between, and reachable configurations never refuse the tick.
+    Nodes are pairs of configurations at stretch starts.  An input both
+    take with one output costs 1, the ticks to the nearer breakpoint cost
+    their number, and a pair whose stretch parts on an input ends the word.
+    Each symbol is the least, in :func:`~tfsm.fsm_algebra._input_order`,
+    one step nearer an end (distances by Dijkstra's search, backwards).
     """
-    inputs = tuple(dict.fromkeys(a.machine.inputs + b.machine.inputs))
+    symbols, moves, parted = _input_order(a, b), {}, {}
 
     def successors(pair):
-        ca, cb = pair
-        for i in inputs:
-            ea, eb = a.get((ca, i)), b.get((cb, i))
-            if ea is None and eb is None:
-                continue
-            if ea is None or eb is None or ea[0] != eb[0]:
-                raise _Parted
-            yield ea[1], eb[1]
-        d = min(a.breakpoint(ca) - ca[1], b.breakpoint(cb) - cb[1])
-        if d < inf:
-            # The tick out of the region before the breakpoint fires a timeout or stops at the tail.
-            yield a.get(((ca[0], ca[1] + d - 1), TICK))[1], b.get(((cb[0], cb[1] + d - 1), TICK))[1]
+        (ca, cb), out = pair, []
+        for i in symbols:
+            if i != TICK:
+                ta, tb = a.machine.enabled(ca[0], i, ca[1]), b.machine.enabled(cb[0], i, cb[1])
+                if ta and tb and ta.output == tb.output:
+                    out.append((i, 1, ((ta.target, 0), (tb.target, 0))))
+                elif ta or tb:
+                    parted[pair] = i
+                    return ()
+            elif (d := min(a.breakpoint(ca) - ca[1], b.breakpoint(cb) - cb[1])) < inf:
+                # The tick out of the stretch's last region fires a timeout or stops at the tail.
+                ea, eb = a.get(((ca[0], ca[1] + d - 1), TICK)), b.get(((cb[0], cb[1] + d - 1), TICK))
+                out.append((TICK, d, (ea[1], eb[1])))
+        moves[pair] = out
+        return [succ for _, _, succ in out]
 
-    try:
-        breadth_first([(a.initial, b.initial)], successors)
-    except _Parted:
-        return False
-    return True
+    start = (a.initial, b.initial)
+    breadth_first([start], successors)
+    if not parted:
+        return None
+    into = {}
+    for before, out in moves.items():
+        for _, cost, succ in out:
+            into.setdefault(succ, []).append((cost, before))
+    distance, heap = dict.fromkeys(parted, 0), [(0, end) for end in parted]
+    while heap:
+        dist, end = heapq.heappop(heap)
+        for cost, before in into.get(end, ()):
+            if dist + cost < distance.get(before, inf):
+                distance[before] = dist + cost
+                heapq.heappush(heap, (dist + cost, before))
+    runs, ticks, pair = [], 0, start
+    while pair not in parted:
+        i, cost, pair = next(m for m in moves[pair] if m[1] + distance.get(m[2], inf) == distance[pair])
+        if i != TICK:
+            runs.append((ticks, i))
+        ticks = ticks + cost if i == TICK else 0
+    return _timed_word(runs + [(ticks, parted[pair])])
 
 
 def tfsm_equivalent(a: TimedMachine, b: TimedMachine) -> TimedEquivalenceVerdict:
     """Decide whether two timed machines have identical timed behavior.
 
-    Both tick abstractions are read on demand (:class:`~tfsm.abstraction.TickView`).
-    A walk from breakpoint to breakpoint decides; only on a mismatch does the
-    exact search run, region by region, for a shortest untimed counterexample.
+    One walk over both tick abstractions (:class:`~tfsm.abstraction.TickView`),
+    from breakpoint to breakpoint, decides and, on a mismatch, spells the
+    shortlex-least separating word (the tick ordered after ``a``'s inputs).
     """
-    view_a, view_b = TickView(a), TickView(b)
-    if _coarse_equivalent(view_a, view_b):
+    word = _separating_word(TickView(a), TickView(b))
+    if word is None:
         return TimedEquivalenceVerdict(True)
-    verdict = equivalent(view_a, view_b)
-
-    word = decode_tick_word(verdict.counterexample.word)
     run_a, run_b = run(a, word), run(b, word)
     if run_a.accepted and run_b.accepted and run_a.outputs != run_b.outputs:
         kind = OUTPUT_MISMATCH

@@ -218,6 +218,76 @@ class TestEquiv:
             assert main(["equiv", str(first), str(second)]) == 0
         assert capsys.readouterr() == ("equivalent\n", "")
 
+    @pytest.mark.parametrize("bound", [10**6, 10**9])
+    def test_a_mismatch_behind_a_huge_timeout_answers_at_once(self, tmp_path, capsys, bound):
+        # The machines part only once A has timed out to B, whose answer to i differs.
+        paths = []
+        for name, output in (("a", "o2"), ("b", "o1")):
+            paths.append(tmp_path / f"{name}.tfsm")
+            paths[-1].write_text(
+                f"tfsm {name}\ninputs i\noutputs o1 o2\nstates A B\ninitial A\n"
+                f"timeout A {bound} -> B\ntimeout B 1 -> A\ntrans B i [0,1) / {output} -> A\n"
+            )
+        with budget(5):
+            assert main(["equiv", *map(str, paths)]) == 1
+        assert capsys.readouterr() == (
+            f"not equivalent\ncounterexample: (i, {bound})\n"
+            f"on (i, {bound}): outputs o2 in the first machine but o1 in the second\n",
+            "",
+        )
+
+
+GUARDS = 5000
+
+
+def _many_guards(name, first, second, last, reverse=False):
+    """A machine whose state ``first`` has 5,000 one-unit guards on ``i``, alternating o1 and o2 up to ``last``.
+
+    ``first`` times out at 5,000 to ``second``, which answers ``i`` on [0,1) and times out after 1.
+    With ``reverse`` the guards are listed last to first.
+    """
+    guards = [
+        f"trans {first} i [{k},{k + 1}) / {last if k == GUARDS - 1 else ('o1', 'o2')[k % 2]} -> {second}\n"
+        for k in range(GUARDS)
+    ]
+    return (
+        f"tfsm {name}\ninputs i\noutputs o1 o2\nstates {first} {second}\ninitial {first}\n"
+        f"timeout {first} {GUARDS} -> {second}\ntimeout {second} 1 -> {first}\n"
+        f"{''.join(guards[::-1] if reverse else guards)}trans {second} i [0,1) / o1 -> {first}\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def many_guards(tmp_path_factory):
+    """``a``; ``b``, its copy with renamed states and the guards listed last to first; ``c``, ``a`` with the last output changed."""
+    folder = tmp_path_factory.mktemp("many_guards")
+    (folder / "a.tfsm").write_text(_many_guards("a", "A", "B", "o2"))
+    (folder / "b.tfsm").write_text(_many_guards("b", "P", "Q", "o2", reverse=True))
+    (folder / "c.tfsm").write_text(_many_guards("c", "A", "B", "o1"))
+    return folder
+
+
+@pytest.mark.parametrize("argv, code, check", [
+    (["validate", "a.tfsm"], 0, lambda out: out == "ok\n"),
+    (["simulate", "a.tfsm", "--word", "i@4999/2 i@9999/4"], 0, lambda out: out == "(o2, 4999/2) (o1, 9999/4)\n"),
+    # One state per region of A below its timeout, and two of B.
+    (["abstract", "a.tfsm"], 0, lambda out: len(out.splitlines()[3].split()) == 1 + 2 * GUARDS + 2),
+    (["equiv", "a.tfsm", "b.tfsm"], 0, lambda out: out == "equivalent\n"),
+    (["equiv", "a.tfsm", "c.tfsm"], 1, lambda out: out == (
+        "not equivalent\ncounterexample: (i, 4999)\n"
+        "on (i, 4999): outputs o2 in the first machine but o1 in the second\n"
+    )),
+    # Each of the two states keeps the 4,999 guards both machines share and B's answer after the timeout.
+    (["intersect", "a.tfsm", "c.tfsm"], 0, lambda out: out.count("\ntrans ") == 2 * GUARDS),
+    (["export-ta", "a.tfsm"], 0, lambda out: out.count("\nedge ") == GUARDS + 3),
+], ids=["validate", "simulate", "abstract", "equiv-equivalent", "equiv-not-equivalent", "intersect", "export-ta"])
+def test_five_thousand_guards_on_one_input_answer_at_once(many_guards, capsys, argv, code, check):
+    argv = [str(many_guards / x) if x.endswith(".tfsm") else x for x in argv]
+    with budget(2):
+        assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert err == "" and check(out), out[:500]
+
 
 def _outcome(argv, capsys, written):
     """Exit code, stdout and stderr of one ``main`` call, and the text it wrote to ``written``."""

@@ -7,8 +7,8 @@ machine's tick chain against itself, whose runs come out merged,
 ``minimize`` refines partitions by Hopcroft's algorithm, ``abstract``,
 ``tfsm_equivalent`` and ``check_bisimulation`` read the tick abstraction on
 integer clock regions, the first two without building it,
-``tfsm_equivalent`` decides by a walk from breakpoint to breakpoint and
-searches region by region only to explain a mismatch, ``tfsm_intersect``
+``tfsm_equivalent`` decides and spells a shortest separating word by one
+walk from breakpoint to breakpoint, ``tfsm_intersect``
 walks only the pairs its result keeps, from breakpoint to breakpoint, with
 ``TickView.lasso`` and ``after`` jumping along timeout chains,
 ``equivalent`` keeps one parent pointer per pair, ``validate_tfsm`` reads
@@ -19,7 +19,8 @@ guard scans, the eager refinement loop over the tick-by-tick delay walk
 (merged by ``machine_gen.interval_merge_guards``, by cases on endpoints),
 the Moore-round minimization, the abstraction and the bisimulation checker
 over clock intervals, the equivalence search that carries a prefix per
-pair, the timed equivalence that always searches region by region, the
+pair, the timed equivalence that searches region by region (``equivalent``
+over both tick views, read as Mealy machines through ``RegionView``), the
 paper's intersection (``refine`` of the ``product`` of both abstractions)
 and a tick-by-tick chain, the searches with their own deque loops and the
 validator that grouped transitions itself, kept as references: the fast
@@ -503,9 +504,17 @@ def eager_tfsm_equivalent(a, b):
     return timed_verdict(a, b, prefix_equivalent(eager_abstract(a), eager_abstract(b)))
 
 
+class RegionView:
+    """A machine's :class:`TickView` read as the Mealy machine ``equivalent`` searches: ``transitions.get`` computes each move."""
+
+    def __init__(self, machine):
+        view = TickView(machine)
+        self.initial, self.inputs, self.transitions = view.initial, view.inputs, view
+
+
 def region_tfsm_equivalent(a, b):
     """``tfsm_equivalent`` deciding by the exact search over both tick views, region by region."""
-    return timed_verdict(a, b, equivalent(TickView(a), TickView(b)))
+    return timed_verdict(a, b, equivalent(RegionView(a), RegionView(b)))
 
 
 def timed_verdict(a, b, verdict):
@@ -1177,7 +1186,7 @@ def with_unreachable_state(machine, top):
     )
 
 
-def coarse_search_pairs(seed, count):
+def breakpoint_walk_pairs(seed, count):
     """Seeded pairs for the breakpoint walk: round trips, one-edit perturbations, other N and alphabets."""
     rng = random.Random(seed)
     for k in range(count):
@@ -1219,7 +1228,7 @@ def test_tfsm_equivalent_matches_the_region_by_region_search():
     pairs = 0
     verdicts = [0, 0]
     other_n = other_inputs = infinite_one_side = 0
-    for a, b in coarse_search_pairs(299792458, 3000):
+    for a, b in breakpoint_walk_pairs(299792458, 3000):
         assert not validate_tfsm(a) and not validate_tfsm(b)
         for x, y in ((a, b), (b, a)):
             fast, slow = tfsm_equivalent(x, y), region_tfsm_equivalent(x, y)
@@ -1234,6 +1243,108 @@ def test_tfsm_equivalent_matches_the_region_by_region_search():
     # Both verdicts make up at least a fifth; pairs across N, alphabets and waiting states occur.
     assert min(verdicts) >= pairs // 5, verdicts
     assert other_n > 1000 and other_inputs > 500 and infinite_one_side > 500
+
+
+def _tfsm(name, inputs, states, lines):
+    """A timed machine from its header fields and its timeout and transition lines."""
+    text = f"tfsm {name}\ninputs {inputs}\noutputs o1 o2\nstates {states}\ninitial {states.split()[0]}\n"
+    return parse_document(text + "".join(f"{line}\n" for line in lines)).body
+
+
+# Hand-written pairs: states, the lines both machines share, the first's inputs and lines, the second's,
+# and the separating word both searches must give with the first machine named first.
+SEPARATION_CASES = {
+    # From A, "i i i" and "@t @t i" both part the machines: the input comes before the tick.
+    "an input and the tick tie": (
+        "A B C D",
+        ["timeout A 1 -> C", "timeout B inf", "timeout C inf", "timeout D inf",
+         "trans A i [0,1) / o1 -> B", "trans B i [0,inf) / o1 -> D"],
+        ("i", ["trans C i [0,inf) / o1 -> C", "trans D i [0,inf) / o1 -> D"]),
+        ("i", ["trans C i [0,inf) / o2 -> C", "trans D i [0,inf) / o2 -> D"]),
+        "(i, 0) (i, 0) (i, 0)",
+    ),
+    # Only the second machine declares x, which B answers once A has timed out.
+    "only an input of the second machine parts them": (
+        "A B",
+        ["timeout A 1 -> B", "timeout B inf", "trans A i [0,1) / o1 -> A"],
+        ("i", []),
+        ("i x", ["trans B x [0,inf) / o1 -> B"]),
+        "(x, 1)",
+    ),
+    # At B the machines disagree on i and on x: the first machine's input comes first.
+    "an input of the first machine before one of the second": (
+        "A B",
+        ["timeout A 1 -> B", "timeout B inf", "trans A i [0,1) / o1 -> A"],
+        ("i", []),
+        ("i x", ["trans B x [0,inf) / o1 -> B", "trans B i [0,inf) / o1 -> B"]),
+        "(i, 1)",
+    ),
+    # The first machine's A never times out, so its stretch from (0,1) on has no end; the second's ends at 3.
+    "the mismatch lies behind a tail": (
+        "A B",
+        ["timeout B inf", "trans A i [0,1) / o1 -> A", "trans B i [0,inf) / o2 -> B"],
+        ("i", ["timeout A inf"]),
+        ("i", ["timeout A 3 -> B"]),
+        "(i, 3)",
+    ),
+    # "@t i @t @t @t i" reaches X and "@t @t @t i @t i" reaches Y: four ticks each, split 1 + 3 and 3 + 1.
+    "tick runs of equal total length": (
+        "A X Y",
+        ["timeout A inf", "timeout X inf", "timeout Y inf", "trans A i (0,1) / o1 -> X", "trans A i (1,2) / o1 -> Y"],
+        ("i", ["trans X i (1,2) / o1 -> X", "trans Y i (0,1) / o1 -> Y"]),
+        ("i", ["trans X i (1,2) / o2 -> X", "trans Y i (0,1) / o2 -> Y"]),
+        "(i, 1/2) (i, 2)",
+    ),
+    # Ten ticks reach E, four inputs reach D: a tick run costs its length, not one step.
+    "a long tick run against several inputs": (
+        "A B C D E",
+        ["timeout A 5 -> E", "timeout B inf", "timeout C inf", "timeout D inf", "timeout E inf",
+         "trans A i [0,5) / o1 -> B", "trans B i [0,inf) / o1 -> C", "trans C i [0,inf) / o1 -> D"],
+        ("i", ["trans D i [0,inf) / o1 -> D", "trans E i [0,inf) / o1 -> E"]),
+        ("i", ["trans D i [0,inf) / o2 -> D", "trans E i [0,inf) / o2 -> E"]),
+        "(i, 0) (i, 0) (i, 0) (i, 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SEPARATION_CASES)
+def test_tfsm_equivalent_breaks_ties_as_the_region_by_region_search(case):
+    states, common, (inputs_a, lines_a), (inputs_b, lines_b), expected = SEPARATION_CASES[case]
+    a, b = _tfsm("a", inputs_a, states, common + lines_a), _tfsm("b", inputs_b, states, common + lines_b)
+    assert not validate_tfsm(a) and not validate_tfsm(b)
+    for x, y in ((a, b), (b, a)):
+        fast = tfsm_equivalent(x, y)
+        assert fast == region_tfsm_equivalent(x, y)
+        assert str(fast.counterexample) == expected
+
+
+def test_tfsm_equivalent_matches_the_region_by_region_search_at_wide_n():
+    rng = random.Random(662607)
+    verdicts, longest = [0, 0], 0
+    with budget(10):
+        for k in range(90):
+            n, inputs = rng.choice((128, 256, 512)), ("i1", "i2")[: rng.randint(1, 2)]
+            if k % 2 == 0:
+                a = random_tfsm(rng, max_states=3, max_constant=n, inputs=inputs)
+            else:
+                bounds = coprime_bounds(rng)
+                a = lasso_machine(rng, [x * (n // 5) for x in bounds], rng.randrange(len(bounds)), inputs)
+            shape = k % 6 // 2
+            if shape == 0:
+                b = one_edit(rng, a)
+            elif shape == 1:
+                b = reversed_inputs(one_edit(rng, a) if rng.random() < 0.3 else a)
+            else:
+                # A timeout lasso whose bounds are one more than multiples of N/5: its cycle is out of step with a's.
+                bounds = coprime_bounds(rng, 5)
+                b = lasso_machine(rng, [x * (n // 5) + 1 for x in bounds], rng.randrange(len(bounds)), inputs[::-1])
+            for x, y in ((a, b), (b, a)):
+                fast = tfsm_equivalent(x, y)
+                assert fast == region_tfsm_equivalent(x, y), f"{x}\n{y}"
+            verdicts[fast.equivalent] += 1
+            longest = max(longest, fast.counterexample[-1][1] if fast.counterexample else 0)
+    # Both verdicts occur, and some separating word waits past several hundred time units.
+    assert min(verdicts) >= 10 and longest > 300, (verdicts, longest)
 
 
 def test_equivalent_matches_the_prefix_search():
