@@ -113,24 +113,14 @@ def abstract_state_name(state: str, interval: ClockInterval) -> str:
     return f"{state},{interval}"
 
 
-def _tick(machine: TimedMachine, top: int, state: str, k: int):
-    """Half a time unit on from (state, region k), or None if inadmissible; ``top`` is the tail."""
-    timeout = machine.timeouts[state]
-    if timeout.bound is None:
-        return (state, min(k + 1, top))
-    if k + 1 < 2 * timeout.bound:
-        return (state, k + 1)
-    if k + 1 == 2 * timeout.bound:
-        return (timeout.target, 0)
-    return None
-
-
 class TickView:
     """The tick abstraction of a timed machine, computed on demand.
 
     Its configurations ``(state, k)``, with ``k`` the clock region
     (:attr:`ClockInterval.region`), stand for the states of the
-    :class:`~tfsm.core.MealyMachine` that :func:`abstract` builds.
+    :class:`~tfsm.core.MealyMachine` that :func:`abstract` builds.  Read it
+    with :meth:`tick`, :meth:`stretch` (:meth:`moves` joins the two),
+    :meth:`lasso` and :meth:`after`.
     """
 
     def __init__(self, machine: TimedMachine):
@@ -139,46 +129,47 @@ class TickView:
         self.initial = (machine.initial, 0)
         self.inputs = machine.inputs + (TICK,)
         self.outputs = machine.outputs + (TICK,)
-        self._breaks, self._edges = {}, {}
+        self._stretches = {}
 
-    def get(self, key):
-        (state, k), symbol = key
-        if symbol == TICK:
-            succ = _tick(self.machine, 2 * self.n_max + 1, state, k)
-            return None if succ is None else (TICK, succ)
-        t = self.machine.enabled(state, symbol, k)
-        return None if t is None else (t.output, (t.target, 0))
+    def tick(self, config, d=1):
+        """The configuration ``d`` ticks on from ``config``, within its :meth:`stretch`; None if inadmissible."""
+        (state, k), timeout = config, self.machine.timeouts[config[0]]
+        if timeout.bound is None:
+            return state, min(k + d, 2 * self.n_max + 1)
+        if k + d < 2 * timeout.bound:
+            return state, k + d
+        if k + d == 2 * timeout.bound:
+            return timeout.target, 0
+        return None
+
+    def stretch(self, config):
+        """``(d, edges)``: ``d`` ticks to the next breakpoint, or ``inf``, and each input's ``(output, successor)``.
+
+        At a breakpoint a guard starts or ends, or the timeout fires (region ``2 * bound``).
+        Each state keeps its breakpoints, closed by ``inf`` (an inadmissible ``d``), and
+        one edge dict per stretch in guard-index order, filled on first use and shared: read only.
+        """
+        state, k = config
+        if state not in self._stretches:
+            entry = self.machine.guard_index().get(state, {})
+            found = {inf, 2 * (self.machine.timeouts[state].bound or inf)}
+            for starts, ends, _ in entry.values():
+                found.update(starts, (e + 1 for e in ends))
+            self._stretches[state] = (sorted(found), [None] * len(found), entry)
+        breaks, edges, entry = self._stretches[state]
+        j = bisect_right(breaks, k)
+        if edges[j] is None:
+            edges[j] = {}
+            for i, guards in entry.items():
+                if (t := _covering(guards, k)) is not None:
+                    edges[j][i] = (t.output, (t.target, 0))
+        return breaks[j] - k, edges[j]
 
     def moves(self, config):
         """``(symbol, (output, successor))`` per move: the tick first, then inputs in guard-index order."""
-        if (tick := self.get((config, TICK))) is not None:
-            yield TICK, tick
-        for i, entry in self.machine.guard_index().get(config[0], {}).items():
-            if (t := _covering(entry, config[1])) is not None:
-                yield i, (t.output, (t.target, 0))
-
-    def breakpoint(self, config):
-        """The first region past ``config``'s where its input moves may change, or ``inf``.
-
-        There a guard starts or ends, or the tick fires the timeout (region
-        ``2 * bound``); a state without a timeout changes nothing past its last guard.
-        """
-        state, k = config
-        if state not in self._breaks:
-            found = {2 * (self.machine.timeouts[state].bound or inf)}
-            for starts, ends, _ in self.machine.guard_index().get(state, {}).values():
-                found.update(starts, (e + 1 for e in ends))
-            self._breaks[state] = sorted(found)
-        breaks = self._breaks[state]
-        return breaks[bisect_right(breaks, k)]
-
-    def stretch(self, config):
-        """``(breakpoint, edges)``: :meth:`breakpoint`, and each enabled input's ``(output, successor)`` until then."""
-        key = (config[0], self.breakpoint(config))
-        if key not in self._edges:
-            enabled = ((i, self.machine.enabled(config[0], i, config[1])) for i in self.machine.inputs)
-            self._edges[key] = {i: (t.output, (t.target, 0)) for i, t in enabled if t}
-        return key[1], self._edges[key]
+        if (succ := self.tick(config)) is not None:
+            yield TICK, (TICK, succ)
+        yield from self.stretch(config)[1].items()
 
     def lasso(self, config):
         """``(mu, lam)``: the tick chain from ``config`` is periodic from step ``mu`` on, with period ``lam``."""
@@ -306,8 +297,8 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
     (conditions 1 and 2) and guarded moves against input/output transitions
     (conditions 3 and 4), with related successors.  The initial
     configurations must be related (condition 0).  The first violation in a
-    deterministic sweep is reported.  A pair's moves are those of
-    :class:`TickView` at its interval's region.
+    deterministic sweep is reported.  A pair's moves are the :meth:`TickView.tick`
+    and :meth:`TickView.stretch` edges at its interval's region.
     """
     view = TickView(machine)
     n_max = view.n_max
@@ -341,8 +332,7 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
         if r not in fsm_states:
             return BisimCheck(False, None, pair, f"unknown untimed state {r!r} in relation")
 
-        moves = dict(view.moves((state, k)))
-        timed_tick = moves.pop(TICK, None)
+        timed_tick, edges = view.tick((state, k)), view.stretch((state, k))[1]
         tick_edge = fsm.transitions.get((r, TICK))
 
         # 1: every delay move needs a tick/tick transition to a related state.
@@ -357,10 +347,10 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
                     False, 1, pair,
                     f"tick transition of {r} outputs {tick_edge[0]!r} instead of the tick symbol",
                 )
-            if (timed_tick[1], tick_edge[1]) not in related:
+            if (timed_tick, tick_edge[1]) not in related:
                 return BisimCheck(
                     False, 1, pair,
-                    f"delay successors {config_str(timed_tick[1])} and {tick_edge[1]} are not related",
+                    f"delay successors {config_str(timed_tick)} and {tick_edge[1]} are not related",
                 )
 
         # 2: every tick/tick transition needs a delay move (whose successor
@@ -372,7 +362,7 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
             )
 
         # 3: every guarded move needs a matching input/output transition.
-        for i, (o, succ) in moves.items():
+        for i, (o, succ) in edges.items():
             edge = fsm.transitions.get((r, i))
             if edge is None:
                 return BisimCheck(
@@ -400,7 +390,7 @@ def check_bisimulation(machine: TimedMachine, fsm: MealyMachine, relation: Bisim
                     False, 4, pair,
                     f"{r} answers the tick with output {edge[0]!r}, which no timed move matches",
                 )
-            if i != TICK and i not in moves:
+            if i != TICK and i not in edges:
                 return BisimCheck(
                     False, 4, pair,
                     f"{r} consumes input {i} but no guard admits it in ({state},{interval})",

@@ -44,9 +44,9 @@ class EquivalenceVerdict:
     counterexample: Counterexample | None = None
 
 
-def _input_order(a: MealyMachine, b: MealyMachine) -> tuple[str, ...]:
-    extras = tuple(i for i in b.inputs if i not in a.inputs)
-    return a.inputs + extras
+def _merged_alphabet(first: tuple, second: tuple) -> tuple:
+    """The alphabet ``first`` followed by the symbols only ``second`` has."""
+    return first + tuple(x for x in second if x not in first)
 
 
 def equivalent(a: MealyMachine, b: MealyMachine) -> EquivalenceVerdict:
@@ -57,7 +57,7 @@ def equivalent(a: MealyMachine, b: MealyMachine) -> EquivalenceVerdict:
     points back to the pair it was reached from, and the word is spelled out
     only on a mismatch.
     """
-    inputs = _input_order(a, b)
+    inputs = _merged_alphabet(a.inputs, b.inputs)
     start = (a.initial, b.initial)
     parents = {start: None}
     queue = deque([start])
@@ -127,11 +127,10 @@ def product(a: MealyMachine, b: MealyMachine) -> MealyMachine:
     start = (a.initial, b.initial)
     order = breadth_first([start], successors)
     names = {pair: str(k) for k, pair in enumerate(order)}
-    outputs = a.outputs + tuple(o for o in b.outputs if o not in a.outputs)
     return MealyMachine(
         states=tuple(names[pair] for pair in order),
         inputs=a.inputs,
-        outputs=outputs,
+        outputs=_merged_alphabet(a.outputs, b.outputs),
         initial=names[start],
         transitions={(names[pair], i): (o, names[succ]) for (pair, i), (o, succ) in edges.items()},
     )

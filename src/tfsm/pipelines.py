@@ -21,7 +21,7 @@ from math import inf
 # abstract, equivalent, product and refine are not called here; bench/spans.py still wraps them at this site.
 from .abstraction import TickView, abstract
 from .core import TimedMachine, TimedWord, Timeout, Transition, TICK, breadth_first
-from .fsm_algebra import DEFINEDNESS_MISMATCH, OUTPUT_MISMATCH, _input_order, check_same_inputs, equivalent, product
+from .fsm_algebra import DEFINEDNESS_MISMATCH, OUTPUT_MISMATCH, _merged_alphabet, check_same_inputs, equivalent, product
 from .refinement import refine, retime
 from .semantics import run
 
@@ -74,25 +74,24 @@ def _separating_word(a: TickView, b: TickView) -> TimedWord | None:
     Nodes are pairs of configurations at stretch starts.  An input both
     take with one output costs 1, the ticks to the nearer breakpoint cost
     their number, and a pair whose stretch parts on an input ends the word.
-    Each symbol is the least, in :func:`~tfsm.fsm_algebra._input_order`,
-    one step nearer an end (distances by Dijkstra's search, backwards).
+    Each symbol is the least one step nearer an end (distances by Dijkstra's
+    search, backwards), in :func:`~tfsm.fsm_algebra._merged_alphabet` order.
     """
-    symbols, moves, parted = _input_order(a, b), {}, {}
+    symbols, moves, parted = _merged_alphabet(a.inputs, b.inputs), {}, {}
 
     def successors(pair):
         (ca, cb), out = pair, []
+        (d_a, edges_a), (d_b, edges_b) = a.stretch(ca), b.stretch(cb)
         for i in symbols:
             if i != TICK:
-                ta, tb = a.machine.enabled(ca[0], i, ca[1]), b.machine.enabled(cb[0], i, cb[1])
-                if ta and tb and ta.output == tb.output:
-                    out.append((i, 1, ((ta.target, 0), (tb.target, 0))))
-                elif ta or tb:
+                ea, eb = edges_a.get(i), edges_b.get(i)
+                if ea and eb and ea[0] == eb[0]:
+                    out.append((i, 1, (ea[1], eb[1])))
+                elif ea or eb:
                     parted[pair] = i
                     return ()
-            elif (d := min(a.breakpoint(ca) - ca[1], b.breakpoint(cb) - cb[1])) < inf:
-                # The tick out of the stretch's last region fires a timeout or stops at the tail.
-                ea, eb = a.get(((ca[0], ca[1] + d - 1), TICK)), b.get(((cb[0], cb[1] + d - 1), TICK))
-                out.append((TICK, d, (ea[1], eb[1])))
+            elif (d := min(d_a, d_b)) < inf:
+                out.append((TICK, d, (a.tick(ca, d), b.tick(cb, d))))
         moves[pair] = out
         return [succ for _, _, succ in out]
 
@@ -173,15 +172,15 @@ def tfsm_intersect(a: TimedMachine, b: TimedMachine) -> TimedMachine:
             if not missing:
                 return ()
             (ca, cb), edges_a, edges_b = pair, view_a.stretch(pair[0])[1], view_b.stretch(pair[1])[1]
-            moves = [(ea[1], eb[1]) for i, ea in edges_a.items() if (eb := edges_b.get(i)) and ea[0] == eb[0]]
-            moves.append((view_a.get((ca, TICK))[1], view_b.get((cb, TICK))[1]))
+            moves = [(ea[1], eb[1]) for i in a.inputs
+                     if (ea := edges_a.get(i)) and (eb := edges_b.get(i)) and ea[0] == eb[0]]
+            moves.append((view_a.tick(ca), view_b.tick(cb)))
             missing.difference_update(moves)
             return moves
 
         return {pair: str(k) for k, pair in enumerate(breadth_first([start], product_moves)) if pair in walks}
 
-    outputs = a.outputs + tuple(o for o in b.outputs if o not in a.outputs)
-    return retime(view_a, view_b, start, name, a.inputs, outputs)
+    return retime(view_a, view_b, start, name, a.inputs, _merged_alphabet(a.outputs, b.outputs))
 
 
 def canonical_tfsm(machine: TimedMachine) -> TimedMachine:

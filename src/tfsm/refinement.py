@@ -46,24 +46,23 @@ def is_time_progressive(fsm: MealyMachine) -> TimeProgressReport:
 class _TickChain:
     """A Mealy machine's tick edges, read as :func:`_delay_walk` reads a tick view.
 
-    A configuration is ``(state, 0)`` and each stretch is one region, so
-    every tick moves on to the next state of the chain.
+    A configuration is ``(state, 0)`` and each :meth:`stretch` is one region
+    long, so :meth:`tick` (``d`` is always 1) moves on to the next state.
     """
 
     def __init__(self, fsm: MealyMachine):
         self.machine, self.inputs, self.edges = self, fsm.user_inputs, fsm.transitions
         self._chain, self._moves = (None, [], 0), {}
 
-    def get(self, key):
-        output, target = self.edges[(key[0][0], key[1])]
-        return output, (target, 0)
+    def tick(self, config, d=1):
+        return self.edges[(config[0], TICK)][1], 0
 
     def stretch(self, config):
         state = config[0]
         if state not in self._moves:
             edges = ((i, self.edges.get((state, i))) for i in self.inputs)
             self._moves[state] = {i: (edge[0], (edge[1], 0)) for i, edge in edges if edge}
-        return config[1] + 1, self._moves[state]
+        return 1, self._moves[state]
 
     def _walk(self, start):
         """The states ticking from ``start`` up to the first repeat, and the repeat's index; kept for one start."""
@@ -88,10 +87,10 @@ def _delay_walk(a, b, ca, cb):
     """The transitions ``(input, guard, (output, target))`` and timeout ``(bound, target)`` of a kept pair.
 
     ``a`` and ``b`` are tick views (:class:`~tfsm.abstraction.TickView` or
-    :class:`_TickChain`).  The walk first meets a pair seen before, ``P_mu``,
-    ``end`` regions on; an odd ``end`` takes one more region and times out to
-    ``P_mu+1``.  Each input keeps one open run of equal labels, so runs come
-    out merged.
+    :class:`_TickChain`), read through ``stretch`` and ``tick``.  The walk
+    first meets a pair seen before, ``P_mu``, ``end`` regions on; an odd
+    ``end`` takes one more region and times out to ``P_mu+1``.  Each input
+    keeps one open run of equal labels, so runs come out merged.
     """
     (mu_a, lam_a), (mu_b, lam_b) = a.lasso(ca), b.lasso(cb)
     mu = max(mu_a, mu_b)
@@ -100,7 +99,7 @@ def _delay_walk(a, b, ca, cb):
     timeout = ((last + 1) // 2, (a.after(ca, mu + end % 2), b.after(cb, mu + end % 2)))
     transitions, runs, j = [], {}, 0
     while j <= last:
-        (break_a, edges_a), (break_b, edges_b) = a.stretch(ca), b.stretch(cb)
+        (d_a, edges_a), (d_b, edges_b) = a.stretch(ca), b.stretch(cb)
         for i in a.machine.inputs:
             ea, eb = edges_a.get(i), edges_b.get(i)
             label = (ea[0], (ea[1], eb[1])) if ea and eb and ea[0] == eb[0] else None
@@ -109,10 +108,8 @@ def _delay_walk(a, b, ca, cb):
                 if open_label is not None:
                     transitions.append((i, Guard.of_regions(first, j - 1), open_label))
                 runs[i] = (j, label)
-        d = min(break_a - ca[1], break_b - cb[1], last + 1 - j)
-        # The tick out of the stretch's last region fires a timeout or stops at the tail.
-        ca, cb = a.get(((ca[0], ca[1] + d - 1), TICK))[1], b.get(((cb[0], cb[1] + d - 1), TICK))[1]
-        j += d
+        d = min(d_a, d_b, last + 1 - j)
+        ca, cb, j = a.tick(ca, d), b.tick(cb, d), j + d
     transitions.extend((i, Guard.of_regions(first, last), label) for i, (first, label) in runs.items() if label)
     return transitions, timeout
 

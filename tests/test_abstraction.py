@@ -1,5 +1,6 @@
 """Clock-interval partition, tick abstraction, and bisimulation checking."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -91,25 +92,19 @@ class TestTickSuccessor:
         view = TickView(handover)
         for state in handover.states:
             for interval in interval_set(view.n_max):
-                succ = view.get(((state, interval.region), TICK))
+                succ = view.tick((state, interval.region))
                 assert (succ is not None) == admissible(handover, state, interval)
 
     def test_half_steps_walk_the_partition(self, guarded_pair):
         view = TickView(guarded_pair)
         tail = ClockInterval.tail(1)
-        assert view.get((("s1", ClockInterval.point(0).region), TICK)) == (
-            TICK,
-            ("s1", ClockInterval.open(0).region),
-        )
-        assert view.get((("s1", ClockInterval.point(1).region), TICK)) == (TICK, ("s1", tail.region))
-        assert view.get((("s1", tail.region), TICK)) == (TICK, ("s1", tail.region))
+        assert view.tick(("s1", ClockInterval.point(0).region)) == ("s1", ClockInterval.open(0).region)
+        assert view.tick(("s1", ClockInterval.point(1).region)) == ("s1", tail.region)
+        assert view.tick(("s1", tail.region)) == ("s1", tail.region)
 
     def test_timeout_redirects_the_step_at_the_bound(self, guarded_pair):
         view = TickView(guarded_pair)
-        assert view.get((("s0", ClockInterval.open(0).region), TICK)) == (
-            TICK,
-            ("s1", ClockInterval.point(0).region),
-        )
+        assert view.tick(("s0", ClockInterval.open(0).region)) == ("s1", ClockInterval.point(0).region)
 
     def test_input_moves_need_the_whole_interval_inside_the_guard(self, guarded_pair):
         view = TickView(guarded_pair)
@@ -121,6 +116,72 @@ class TestTickSuccessor:
         assert input_moves("s1", ClockInterval.point(1)) == [("i", ("o2", ("s1", 0)))]
         assert input_moves("s1", ClockInterval.tail(1)) == [("i", ("o1", ("s0", 0)))]
         assert input_moves("s0", ClockInterval.point(1)) == []
+
+
+class TestStretch:
+    """``stretch`` gives the ticks to the next breakpoint and the input edges until then; ``tick`` jumps within it."""
+
+    @pytest.fixture
+    def early_guard(self):
+        # s answers i only on [0,1] but times out at 3, so the timeout is a breakpoint no guard shares.
+        return TimedMachine(
+            states=("s", "t"),
+            inputs=("i",),
+            outputs=("o",),
+            initial="s",
+            transitions=(Transition("s", "i", Guard(0, 1, True, True), "o", "t"),),
+            timeouts={"s": Timeout(3, "t"), "t": Timeout(None)},
+        )
+
+    def test_a_guards_last_region_ends_its_stretch(self, handover, guarded_pair):
+        view = TickView(handover)
+        # A answers i on [0,1), regions 0 and 1, then on [1,2), regions 2 and 3.
+        assert view.stretch(("A", 0)) == (2, {"i": ("o1", ("B", 0))})
+        assert view.stretch(("A", 1)) == (1, {"i": ("o1", ("B", 0))})
+        assert view.stretch(("A", 2)) == (2, {"i": ("o2", ("A", 0))})
+        view = TickView(guarded_pair)
+        # s1 answers o2 on [0,1], regions 0 to 2.
+        assert view.stretch(("s1", 0)) == (3, {"i": ("o2", ("s1", 0))})
+        assert view.stretch(("s1", 2)) == (1, {"i": ("o2", ("s1", 0))})
+
+    def test_the_region_before_a_timeout_ends_its_stretch(self, handover, early_guard):
+        assert TickView(handover).stretch(("A", 3)) == (1, {"i": ("o2", ("A", 0))})
+        assert TickView(handover).stretch(("C", 1)) == (1, {"i": ("o1", ("C", 0))})
+        view = TickView(early_guard)
+        assert view.stretch(("s", 2)) == (1, {"i": ("o", ("t", 0))})
+        assert view.stretch(("s", 3)) == (3, {})
+        assert view.stretch(("s", 5)) == (1, {})
+        assert view.tick(("s", 3), 3) == ("t", 0)
+
+    def test_the_tail_stretches_to_infinity(self, handover, guarded_pair, early_guard):
+        assert TickView(guarded_pair).stretch(("s1", 3)) == (math.inf, {"i": ("o1", ("s0", 0))})
+        assert TickView(handover).stretch(("B", 5)) == (math.inf, {"i": ("o2", ("B", 0))})
+        assert TickView(early_guard).stretch(("t", 0)) == (math.inf, {})
+
+    def test_an_inadmissible_configuration_has_no_end_and_no_edges(self, handover, guarded_pair, early_guard):
+        timeouts = ((handover, "A", 2), (handover, "C", 1), (guarded_pair, "s0", 1), (early_guard, "s", 3))
+        for machine, state, bound in timeouts:
+            view = TickView(machine)
+            for k in range(2 * bound, 2 * view.n_max + 2):
+                assert view.stretch((state, k)) == (math.inf, {}), (state, k)
+                assert view.tick((state, k)) is None
+
+    def test_a_jump_equals_as_many_single_ticks(self, handover, guarded_pair, blinker, early_guard):
+        jumps = 0
+        for machine in (handover, guarded_pair, blinker, early_guard):
+            view = TickView(machine)
+            for state in machine.states:
+                for interval in interval_set(view.n_max):
+                    config = (state, interval.region)
+                    if not admissible(machine, state, interval):
+                        continue
+                    length, _ = view.stretch(config)
+                    ticked = config
+                    for d in range(1, min(length, 2 * view.n_max + 3) + 1):
+                        ticked = view.tick(ticked)
+                        assert view.tick(config, d) == ticked, (state, interval, d)
+                        jumps += 1
+        assert jumps > 40
 
 
 class TestAbstract:

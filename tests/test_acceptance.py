@@ -241,7 +241,7 @@ def test_equivalence_against_brute_force():
 
 @pytest.mark.criterion(10, "checker accepts canonical relations, rejects every perturbation")
 def test_bisimulation_checker_against_perturbations():
-    with budget(60):
+    with budget(40):
         pool = machine_pool()
         rejected = 0
         for machine in pool:

@@ -1,9 +1,10 @@
 """Guard lookups, on-demand searches and minimization against the code they replaced.
 
-``step`` and the tick view's input moves find a guard by bisection in the
-machine's index of clock regions, ``refine`` walks only the states its
-result reaches, with the delay walk of ``tfsm_intersect`` run over a
-machine's tick chain against itself, whose runs come out merged,
+``step`` finds a guard by bisection in the machine's index of clock
+regions, the tick view reads its input moves off that index once per
+stretch, from one breakpoint to the next, ``refine`` walks only the
+states its result reaches, with the delay walk of ``tfsm_intersect`` run
+over a machine's tick chain against itself, whose runs come out merged,
 ``minimize`` refines partitions by Hopcroft's algorithm, ``abstract``,
 ``tfsm_equivalent`` and ``check_bisimulation`` read the tick abstraction on
 integer clock regions, the first two without building it,
@@ -78,7 +79,7 @@ from tfsm import (
 from tfsm import refinement
 from tfsm.abstraction import TickView
 from tfsm.core import _header_problems, breadth_first
-from tfsm.fsm_algebra import _input_order, reachable
+from tfsm.fsm_algebra import _merged_alphabet, reachable
 from tfsm.refinement import _delay_walk, _TickChain, is_time_progressive
 from conftest import MACHINES, budget
 from machine_gen import (
@@ -465,7 +466,7 @@ def random_guard(rng, top):
 
 def prefix_equivalent(a, b):
     """``equivalent`` carrying the whole input prefix of every pair it reaches."""
-    inputs = _input_order(a, b)
+    inputs = _merged_alphabet(a.inputs, b.inputs)
     start = (a.initial, b.initial)
     prefixes = {start: ()}
     queue = deque([start])
@@ -508,8 +509,15 @@ class RegionView:
     """A machine's :class:`TickView` read as the Mealy machine ``equivalent`` searches: ``transitions.get`` computes each move."""
 
     def __init__(self, machine):
-        view = TickView(machine)
-        self.initial, self.inputs, self.transitions = view.initial, view.inputs, view
+        self.view = TickView(machine)
+        self.initial, self.inputs, self.transitions = self.view.initial, self.view.inputs, self
+
+    def get(self, key):
+        config, symbol = key
+        if symbol == TICK:
+            succ = self.view.tick(config)
+            return None if succ is None else (TICK, succ)
+        return self.view.stretch(config)[1].get(symbol)
 
 
 def region_tfsm_equivalent(a, b):
@@ -758,10 +766,10 @@ def test_tick_successor_matches_the_interval_cases():
         n = view.n_max
         for s in machine.states:
             for interval in interval_set(n):
-                succ = view.get(((s, interval.region), TICK))
+                succ = view.tick((s, interval.region))
                 expected = interval_tick_successor(machine, n, s, interval)
                 if expected is not None:
-                    expected = (TICK, (expected[0], expected[1].region))
+                    expected = (expected[0], expected[1].region)
                 assert succ == expected, f"{machine}\nat ({s},{interval})"
                 assert (succ is not None) == admissible(machine, s, interval)
                 compared += 1
@@ -1603,7 +1611,7 @@ def test_tfsm_intersect_of_an_edited_ring_matches_the_paper_construction(bound):
 def tick_chain(view, config):
     """The configurations ``config`` ticks through, tick by tick, up to the first repeat, and the repeat's index."""
     chain, seen = [config], {config: 0}
-    while (succ := view.get((chain[-1], TICK))[1]) not in seen:
+    while (succ := view.tick(chain[-1])) not in seen:
         seen[succ] = len(chain)
         chain.append(succ)
     return chain, seen[succ]
