@@ -119,8 +119,8 @@ class TickView:
     Its configurations ``(state, k)``, with ``k`` the clock region
     (:attr:`ClockInterval.region`), stand for the states of the
     :class:`~tfsm.core.MealyMachine` that :func:`abstract` builds.  Read it
-    with :meth:`tick`, :meth:`stretch` (:meth:`moves` joins the two),
-    :meth:`lasso` and :meth:`after`.
+    with :meth:`tick`, :meth:`stretch` and :meth:`lasso`; :meth:`moves`
+    joins the first two.
     """
 
     def __init__(self, machine: TimedMachine):
@@ -182,15 +182,6 @@ class TickView:
             at += 2 * timeouts[state].bound
             state = timeouts[state].target
         return max(entered[state], 0), at - entered[state]
-
-    def after(self, config, n):
-        """The configuration ``n`` ticks on from ``config``; ``n`` is first reduced modulo its :meth:`lasso`'s cycle."""
-        mu, lam = self.lasso(config)
-        timeouts, state, at = self.machine.timeouts, config[0], -config[1]
-        n = min(n, mu + (n - mu) % lam)
-        while (bound := timeouts[state].bound) is not None and n >= at + 2 * bound:
-            state, at = timeouts[state].target, at + 2 * bound
-        return state, min(n - at, 2 * self.n_max + 1)
 
 
 def abstract(machine: TimedMachine, keep_unreachable: bool = False) -> MealyMachine:

@@ -170,12 +170,13 @@ def minimize(fsm: MealyMachine) -> MealyMachine:
     just like a differing output does.  Each class is named after its first
     member in declaration order, and the classes keep that order.
     """
-    fsm = reachable(fsm)
     inputs = fsm.inputs
+    seen = set(breadth_first([fsm.initial], _targets(fsm, inputs)))
+    states = [s for s in fsm.states if s in seen]
     # Start from the output signature: per input, undefined or the output given.
     by_signature = {}
     predecessors = {i: {} for i in inputs}
-    for s in fsm.states:
+    for s in states:
         signature = []
         for i in inputs:
             edge = fsm.transitions.get((s, i))
@@ -218,7 +219,7 @@ def minimize(fsm: MealyMachine) -> MealyMachine:
                 waiting.append(half)
 
     representative = {}
-    for s in fsm.states:
+    for s in states:
         representative.setdefault(block_of[s], s)
     transitions = {}
     for s in representative.values():

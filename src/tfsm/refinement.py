@@ -47,12 +47,13 @@ class _TickChain:
     """A Mealy machine's tick edges, read as :func:`_delay_walk` reads a tick view.
 
     A configuration is ``(state, 0)`` and each :meth:`stretch` is one region
-    long, so :meth:`tick` (``d`` is always 1) moves on to the next state.
+    long, so :meth:`tick` (``d`` is always 1) moves on to the next state;
+    the walk's timeout target is the state its last tick enters.
     """
 
     def __init__(self, fsm: MealyMachine):
-        self.machine, self.inputs, self.edges = self, fsm.user_inputs, fsm.transitions
-        self._chain, self._moves = (None, [], 0), {}
+        self.inputs, self.edges = fsm.user_inputs, fsm.transitions
+        self._lasso, self._moves = (None, None), {}
 
     def tick(self, config, d=1):
         return self.edges[(config[0], TICK)][1], 0
@@ -64,43 +65,34 @@ class _TickChain:
             self._moves[state] = {i: (edge[0], (edge[1], 0)) for i, edge in edges if edge}
         return 1, self._moves[state]
 
-    def _walk(self, start):
-        """The states ticking from ``start`` up to the first repeat, and the repeat's index; kept for one start."""
-        if self._chain[0] != start:
-            chain, seen = [start], {start: 0}
-            while (state := self.edges[(chain[-1], TICK)][1]) not in seen:
-                seen[state] = len(chain)
-                chain.append(state)
-            self._chain = (start, chain, seen[state])
-        return self._chain[1:]
-
     def lasso(self, config):
-        chain, mu = self._walk(config[0])
-        return mu, len(chain) - mu
+        """``(mu, lam)`` of the states ticking from ``config`` up to the first repeat; kept for one start."""
+        start = config[0]
+        if self._lasso[0] != start:
+            seen, state = {start: 0}, start
+            while (state := self.edges[(state, TICK)][1]) not in seen:
+                seen[state] = len(seen)
+            self._lasso = (start, (seen[state], len(seen) - seen[state]))
+        return self._lasso[1]
 
-    def after(self, config, n):
-        chain, mu = self._walk(config[0])
-        return chain[min(n, mu + (n - mu) % (len(chain) - mu))], 0
 
-
-def _delay_walk(a, b, ca, cb):
+def _delay_walk(a, b, ca, cb, inputs):
     """The transitions ``(input, guard, (output, target))`` and timeout ``(bound, target)`` of a kept pair.
 
     ``a`` and ``b`` are tick views (:class:`~tfsm.abstraction.TickView` or
-    :class:`_TickChain`), read through ``stretch`` and ``tick``.  The walk
-    first meets a pair seen before, ``P_mu``, ``end`` regions on; an odd
-    ``end`` takes one more region and times out to ``P_mu+1``.  Each input
-    keeps one open run of equal labels, so runs come out merged.
+    :class:`_TickChain`), read through ``lasso``, ``stretch`` and ``tick``.
+    The walk first meets a pair seen before, ``P_mu``, ``end`` regions on;
+    an odd ``end`` takes one more region.  The walk stops where it times
+    out: at ``P_mu`` after an even ``end``, at ``P_mu+1`` after an odd one.
+    Each input keeps one open run of equal labels, so runs come out merged.
     """
     (mu_a, lam_a), (mu_b, lam_b) = a.lasso(ca), b.lasso(cb)
-    mu = max(mu_a, mu_b)
-    end = mu + lcm(lam_a, lam_b)
+    end = max(mu_a, mu_b) + lcm(lam_a, lam_b)
     last = end - 1 + end % 2
-    timeout = ((last + 1) // 2, (a.after(ca, mu + end % 2), b.after(cb, mu + end % 2)))
     transitions, runs, j = [], {}, 0
     while j <= last:
         (d_a, edges_a), (d_b, edges_b) = a.stretch(ca), b.stretch(cb)
-        for i in a.machine.inputs:
+        for i in inputs:
             ea, eb = edges_a.get(i), edges_b.get(i)
             label = (ea[0], (ea[1], eb[1])) if ea and eb and ea[0] == eb[0] else None
             first, open_label = runs.get(i, (j, None))
@@ -111,7 +103,7 @@ def _delay_walk(a, b, ca, cb):
         d = min(d_a, d_b, last + 1 - j)
         ca, cb, j = a.tick(ca, d), b.tick(cb, d), j + d
     transitions.extend((i, Guard.of_regions(first, last), label) for i, (first, label) in runs.items() if label)
-    return transitions, timeout
+    return transitions, ((last + 1) // 2, (ca, cb))
 
 
 def retime(a, b, start, name, inputs, outputs, merge=True) -> TimedMachine:
@@ -123,7 +115,7 @@ def retime(a, b, start, name, inputs, outputs, merge=True) -> TimedMachine:
     walks = {}
 
     def kept(pair):
-        transitions, timeout = walks[pair] = _delay_walk(a, b, *pair)
+        transitions, timeout = walks[pair] = _delay_walk(a, b, *pair, inputs)
         return [target for *_, (_, target) in transitions] + [timeout[1]]
 
     breadth_first([start], kept)

@@ -10,8 +10,8 @@ over a machine's tick chain against itself, whose runs come out merged,
 integer clock regions, the first two without building it,
 ``tfsm_equivalent`` decides and spells a shortest separating word by one
 walk from breakpoint to breakpoint, ``tfsm_intersect``
-walks only the pairs its result keeps, from breakpoint to breakpoint, with
-``TickView.lasso`` and ``after`` jumping along timeout chains,
+walks only the pairs its result keeps, from breakpoint to breakpoint, each
+walk ending where ``TickView.lasso`` finds both timeout chains repeating,
 ``equivalent`` keeps one parent pointer per pair, ``validate_tfsm`` reads
 the overlapping guards off the guard index, and ``product``,
 ``reachable``, ``canonical_fsm`` and ``canonical_tfsm`` search through the
@@ -982,7 +982,7 @@ def exits_inside_an_interval(fsm, start):
 def chain_walk(fsm, s):
     """The delay walk of ``s`` over its tick chain against itself, as a machine with ``s``'s transitions and timeout."""
     chain = _TickChain(fsm)
-    runs, (bound, (target, _)) = _delay_walk(chain, chain, (s, 0), (s, 0))
+    runs, (bound, (target, _)) = _delay_walk(chain, chain, (s, 0), (s, 0), fsm.user_inputs)
     transitions = [Transition(s, i, g, o, t[0]) for i, g, (o, (t, _)) in runs]
     return TimedMachine(fsm.states, fsm.user_inputs, fsm.user_outputs, s, transitions, {s: Timeout(bound, target[0])})
 
@@ -1557,12 +1557,19 @@ def test_tfsm_intersect_matches_the_paper_construction(monkeypatch):
     walks = []
     delay_walk = refinement._delay_walk
 
-    def recording(a, b, ca, cb):
+    def recording(a, b, ca, cb, inputs):
+        result = delay_walk(a, b, ca, cb, inputs)
         # Only the walks over tick views; the oracle's refine walks its own chains.
         if isinstance(a, TickView):
-            (mu_a, lam_a), (mu_b, lam_b) = a.lasso(ca), b.lasso(cb)
-            walks.append(((max(mu_a, mu_b) + math.lcm(lam_a, lam_b)) % 2, 1 in (lam_a, lam_b)))
-        return delay_walk(a, b, ca, cb)
+            (chain_a, mu_a), (chain_b, mu_b) = tick_chain(a, ca), tick_chain(b, cb)
+            lam_a, lam_b = len(chain_a) - mu_a, len(chain_b) - mu_b
+            end = max(mu_a, mu_b) + math.lcm(lam_a, lam_b)
+            # The walk times out where the tick-by-tick chains stand after mu (+1 if end is odd) ticks.
+            n = max(mu_a, mu_b) + end % 2
+            targets = (chain_a[mu_a + (n - mu_a) % lam_a], chain_b[mu_b + (n - mu_b) % lam_b])
+            assert result[1] == ((end + end % 2) // 2, targets), f"{a.machine}\n{b.machine}\n{ca} {cb}"
+            walks.append((end % 2, 1 in (lam_a, lam_b)))
+        return result
 
     monkeypatch.setattr(refinement, "_delay_walk", recording)
     pairs = other_n = 0
@@ -1617,7 +1624,7 @@ def tick_chain(view, config):
     return chain, seen[succ]
 
 
-def test_lasso_and_after_match_the_tick_by_tick_loop():
+def test_lasso_matches_the_tick_by_tick_loop():
     rng = random.Random(141421356)
     machines = machine_pool()[:200]
     for _ in range(100):
@@ -1630,16 +1637,13 @@ def test_lasso_and_after_match_the_tick_by_tick_loop():
             chain, mu = tick_chain(view, config)
             lam = len(chain) - mu
             assert view.lasso(config) == (mu, lam), f"{machine}\n{config}"
-            for n in [*range(len(chain) + 3), rng.randrange(10**12), 10**12]:
-                expected = chain[n] if n < len(chain) else chain[mu + (n - mu) % lam]
-                assert view.after(config, n) == expected, f"{machine}\n{config} {n}"
             configs += 1
             tails += lam == 1
     # Both tails and timeout cycles must occur.
     assert configs > 5000 and 1000 < tails < configs - 1000, (configs, tails)
 
 
-def test_chain_lasso_and_after_match_the_tick_by_tick_loop():
+def test_chain_lasso_matches_the_tick_by_tick_loop():
     rng = random.Random(173205080)
     machines = [random_time_progressive_fsm(rng) for _ in range(300)]
     machines += [minimize(abstract(machine)) for machine in machine_pool()[:200]]
@@ -1650,9 +1654,6 @@ def test_chain_lasso_and_after_match_the_tick_by_tick_loop():
             states, mu = tick_chain(chain, (s, 0))
             lam = len(states) - mu
             assert chain.lasso((s, 0)) == (mu, lam), f"{fsm}\n{s}"
-            for n in [*range(len(states) + 3), rng.randrange(10**12), 10**12]:
-                expected = states[n] if n < len(states) else states[mu + (n - mu) % lam]
-                assert chain.after((s, 0), n) == expected, f"{fsm}\n{s} {n}"
             starts += 1
             tails += lam == 1
     # Both self-ticking tails and longer cycles must occur.
