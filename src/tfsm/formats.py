@@ -165,7 +165,7 @@ def _parse_tfsm(reader: _Reader) -> MachineDocument:
             elif len(tokens) == 5 and tokens[3] == "->":
                 state = tokens[1]
                 try:
-                    bound = int(tokens[2])
+                    bound = None if tokens[2] == "inf" else int(tokens[2])
                 except ValueError:
                     raise reader.error(
                         f"timeout bound must be a positive integer or 'inf', got {tokens[2]!r}",

@@ -41,12 +41,14 @@ class TimedEquivalenceVerdict:
     detail: str = ""
 
 
-def _timed_word(runs) -> TimedWord:
-    """The timed word of ``(ticks, input)`` runs: each run waits ``ticks/2`` time units, then reads its input."""
-    entries, now = [], Fraction(0)
-    for ticks, sym in runs:
-        now += Fraction(ticks, 2)
-        entries.append((sym, now))
+def _timed_word(steps) -> TimedWord:
+    """The timed word of ``(symbol, count)`` steps: ``count`` ticks wait ``count/2`` time units, an input is read."""
+    entries, ticks = [], 0
+    for sym, count in steps:
+        if sym == TICK:
+            ticks += count
+        else:
+            entries.append((sym, Fraction(ticks, 2)))
     return TimedWord(tuple(entries))
 
 
@@ -56,20 +58,14 @@ def decode_tick_word(symbols) -> TimedWord:
     Each maximal run of ``k`` ticks contributes a delay of ``k/2`` time
     units before the following input symbol.
     """
-    runs, ticks = [], 0
-    for sym in symbols:
-        if sym == TICK:
-            ticks += 1
-        else:
-            runs.append((ticks, sym))
-            ticks = 0
-    if ticks:
+    symbols = tuple(symbols)
+    if symbols and symbols[-1] == TICK:
         raise ValueError("a decodable tick word ends with a user input, not a tick")
-    return _timed_word(runs)
+    return _timed_word((s, 1) for s in symbols)
 
 
 def _separating_word(a: TickView, b: TickView) -> TimedWord | None:
-    """The shortlex-least tick word that parts the views, decoded from its runs; None if none does.
+    """The shortlex-least tick word that parts the views, decoded from its steps; None if none does.
 
     Nodes are pairs of configurations at stretch starts.  An input both
     take with one output costs 1, the ticks to the nearer breakpoint cost
@@ -110,13 +106,11 @@ def _separating_word(a: TickView, b: TickView) -> TimedWord | None:
             if dist + cost < distance.get(before, inf):
                 distance[before] = dist + cost
                 heapq.heappush(heap, (dist + cost, before))
-    runs, ticks, pair = [], 0, start
+    steps, pair = [], start
     while pair not in parted:
         i, cost, pair = next(m for m in moves[pair] if m[1] + distance.get(m[2], inf) == distance[pair])
-        if i != TICK:
-            runs.append((ticks, i))
-        ticks = ticks + cost if i == TICK else 0
-    return _timed_word(runs + [(ticks, parted[pair])])
+        steps.append((i, cost))
+    return _timed_word(steps + [(parted[pair], 1)])
 
 
 def tfsm_equivalent(a: TimedMachine, b: TimedMachine) -> TimedEquivalenceVerdict:

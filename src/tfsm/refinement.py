@@ -46,28 +46,26 @@ def is_time_progressive(fsm: MealyMachine) -> TimeProgressReport:
 class _TickChain:
     """A Mealy machine's tick edges, read as :func:`_delay_walk` reads a tick view.
 
-    A configuration is ``(state, 0)`` and each :meth:`stretch` is one region
-    long, so :meth:`tick` (``d`` is always 1) moves on to the next state;
-    the walk's timeout target is the state its last tick enters.
+    A configuration is a state and each :meth:`stretch` is one region long,
+    so :meth:`tick` (``d`` is always 1) moves on to the next state; the
+    walk's timeout target is the state its last tick enters.
     """
 
     def __init__(self, fsm: MealyMachine):
         self.inputs, self.edges = fsm.user_inputs, fsm.transitions
         self._lasso, self._moves = (None, None), {}
 
-    def tick(self, config, d=1):
-        return self.edges[(config[0], TICK)][1], 0
+    def tick(self, state, d=1):
+        return self.edges[(state, TICK)][1]
 
-    def stretch(self, config):
-        state = config[0]
+    def stretch(self, state):
         if state not in self._moves:
             edges = ((i, self.edges.get((state, i))) for i in self.inputs)
-            self._moves[state] = {i: (edge[0], (edge[1], 0)) for i, edge in edges if edge}
+            self._moves[state] = {i: edge for i, edge in edges if edge}
         return 1, self._moves[state]
 
-    def lasso(self, config):
-        """``(mu, lam)`` of the states ticking from ``config`` up to the first repeat; kept for one start."""
-        start = config[0]
+    def lasso(self, start):
+        """``(mu, lam)`` of the states ticking from ``start`` up to the first repeat; kept for one start."""
         if self._lasso[0] != start:
             seen, state = {start: 0}, start
             while (state := self.edges[(state, TICK)][1]) not in seen:
@@ -154,9 +152,9 @@ def refine(fsm: MealyMachine, merge: bool = True) -> TimedMachine:
         raise ValueError(f"input {i} at state {s} outputs the tick symbol; cannot be a guarded move")
 
     # A deterministic machine walked against itself reaches only pairs (s, s).
-    chain, start = _TickChain(fsm), (fsm.initial, 0)
+    chain = _TickChain(fsm)
 
     def name(walks):
-        return {(c, c): c[0] for c in ((s, 0) for s in fsm.states) if (c, c) in walks}
+        return {(s, s): s for s in fsm.states if (s, s) in walks}
 
-    return retime(chain, chain, (start, start), name, fsm.user_inputs, fsm.user_outputs, merge)
+    return retime(chain, chain, (fsm.initial, fsm.initial), name, fsm.user_inputs, fsm.user_outputs, merge)

@@ -51,6 +51,18 @@ class TestClockIntervals:
         shuffled = list(reversed(interval_set(2)))
         assert tuple(sorted(shuffled)) == interval_set(2)
 
+    def test_ill_formed_intervals_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown interval kind 'bogus'"):
+            ClockInterval("bogus", 0)
+        with pytest.raises(ValueError, match="negative interval index -1"):
+            ClockInterval("point", -1)
+        with pytest.raises(ValueError, match="negative partition bound -1"):
+            interval_set(-1)
+
+    def test_intervals_only_compare_with_intervals(self):
+        with pytest.raises(TypeError):
+            ClockInterval.point(0) < 1
+
     @given(
         x=st.fractions(min_value=0, max_value=12, max_denominator=8),
         n_max=st.integers(min_value=0, max_value=6),

@@ -76,6 +76,9 @@ class TestSimulate:
     def test_word_syntax_is_checked(self, capsys):
         assert main(["simulate", GP, "--word", "i"]) == 2
         assert "SYMBOL@TIME" in capsys.readouterr().err
+        for word, stamp in (("i@x", "x"), ("i@1/0", "1/0")):
+            assert main(["simulate", GP, "--word", word]) == 2
+            assert capsys.readouterr() == ("", f"error: malformed timestamp {stamp!r} in {word!r}\n")
 
     def test_needs_a_timed_machine(self, capsys):
         assert main(["simulate", GP_ABS, "--word", "i@0"]) == 2

@@ -274,3 +274,7 @@ class TestMealyValidation:
         assert any("undeclared input" in p for p in problems)
         assert any("unknown state" in p for p in problems)
         assert any("undeclared output" in p for p in problems)
+
+    def test_transition_from_unknown_state_reported(self):
+        m = MealyMachine(("a",), ("i",), ("o",), "a", {("a", "i"): ("o", "a"), ("z", "i"): ("o", "a")})
+        assert validate_fsm(m) == ["transition from unknown state 'z'"]

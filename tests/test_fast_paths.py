@@ -982,9 +982,9 @@ def exits_inside_an_interval(fsm, start):
 def chain_walk(fsm, s):
     """The delay walk of ``s`` over its tick chain against itself, as a machine with ``s``'s transitions and timeout."""
     chain = _TickChain(fsm)
-    runs, (bound, (target, _)) = _delay_walk(chain, chain, (s, 0), (s, 0), fsm.user_inputs)
-    transitions = [Transition(s, i, g, o, t[0]) for i, g, (o, (t, _)) in runs]
-    return TimedMachine(fsm.states, fsm.user_inputs, fsm.user_outputs, s, transitions, {s: Timeout(bound, target[0])})
+    runs, (bound, (target, _)) = _delay_walk(chain, chain, s, s, fsm.user_inputs)
+    transitions = [Transition(s, i, g, o, t) for i, g, (o, (t, _)) in runs]
+    return TimedMachine(fsm.states, fsm.user_inputs, fsm.user_outputs, s, transitions, {s: Timeout(bound, target)})
 
 
 def test_refine_state_matches_the_tick_by_tick_walk():
@@ -1651,9 +1651,9 @@ def test_chain_lasso_matches_the_tick_by_tick_loop():
     for fsm in machines:
         chain = _TickChain(fsm)
         for s in fsm.states:
-            states, mu = tick_chain(chain, (s, 0))
+            states, mu = tick_chain(chain, s)
             lam = len(states) - mu
-            assert chain.lasso((s, 0)) == (mu, lam), f"{fsm}\n{s}"
+            assert chain.lasso(s) == (mu, lam), f"{fsm}\n{s}"
             starts += 1
             tails += lam == 1
     # Both self-ticking tails and longer cycles must occur.

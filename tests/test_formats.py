@@ -6,6 +6,7 @@ from tfsm import (
     Guard,
     MealyMachine,
     ParseError,
+    TimedMachine,
     Timeout,
     Transition,
     parse_document,
@@ -122,6 +123,12 @@ class TestParseTfsm:
         assert "positive integer or 'inf'" in str(err)
         assert (err.line, err.column) == (6, 11)
 
+    def test_infinite_timeout_with_a_target_is_rejected(self):
+        err = error_of(parse_tfsm, tfsm_text("timeout A inf -> B"))
+        assert "an infinite timeout carries no target state" in str(err)
+        assert "positive integer" not in str(err)
+        assert (err.line, err.column) == (6, 11)
+
     def test_timeout_bound_zero_is_rejected(self):
         err = error_of(parse_tfsm, tfsm_text("timeout A 0 -> A"))
         assert (err.line, err.column) == (6, 11)
@@ -178,6 +185,11 @@ class TestParseFsm:
         err = error_of(parse_fsm, fsm_text("trans a i/o = a"))
         assert "expected '->', found '='" in str(err)
         assert (err.line, err.column) == (6, 13)
+
+    def test_body_lines_must_be_transitions(self):
+        err = error_of(parse_fsm, fsm_text("trans a i/o -> a", "timeout a inf"))
+        assert "expected 'trans', found 'timeout'" in str(err)
+        assert (err.line, err.column) == (7, 1)
 
     def test_guard_syntax_is_not_accepted(self):
         err = error_of(parse_fsm, fsm_text("trans a i [0,1) / o -> a"))
@@ -269,6 +281,11 @@ class TestSerialize:
             "trans b i/o -> a",
             "trans a i/o -> b",
         ]
+
+    def test_a_state_without_a_timeout_entry_gets_no_timeout_line(self):
+        machine = TimedMachine(("A", "B"), ("i",), ("o",), "A", (), {"B": Timeout(1, "A")})
+        lines = serialize(machine, "t").splitlines()
+        assert lines[5:] == ["timeout B 1 -> A"]
 
     def test_name_defaults_to_machine(self):
         body = parse_tfsm(tfsm_text("timeout A inf")).body

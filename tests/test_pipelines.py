@@ -41,6 +41,14 @@ class TestDecodeTickWord:
     def test_empty_word_decodes_to_the_empty_run(self):
         assert decode_tick_word(()) == TimedWord()
 
+    def test_a_generator_decodes_as_its_tuple(self):
+        symbols = (TICK, "i", TICK, TICK, TICK, "j", "i")
+        assert decode_tick_word(s for s in symbols) == decode_tick_word(symbols)
+        assert decode_tick_word(iter(())) == TimedWord()
+        for ending_in_a_tick in (("i", TICK), (TICK,)):
+            with pytest.raises(ValueError, match="^a decodable tick word ends with a user input, not a tick$"):
+                decode_tick_word(s for s in ending_in_a_tick)
+
 
 class TestTimedEquivalence:
     def test_machine_equals_its_own_roundtrip(self, guarded_pair, guarded_pair_rebuilt):
