@@ -39,7 +39,8 @@ class ClockInterval:
 
     ``point n`` is the singleton [n,n], ``open n`` is (n,n+1), and
     ``tail n`` is the unbounded (n,inf) closing the partition at its
-    largest constant.  Intervals are totally ordered left to right.
+    largest constant.  Intervals are totally ordered left to right:
+    ``open n`` and ``tail n`` share a region, and the tail ends further right.
     """
 
     kind: str
@@ -78,7 +79,7 @@ class ClockInterval:
     def __lt__(self, other):
         if not isinstance(other, ClockInterval):
             return NotImplemented
-        return self.region < other.region
+        return (self.region, self.kind) < (other.region, other.kind)
 
     def __str__(self):
         if self.kind == "point":
@@ -114,13 +115,13 @@ def abstract_state_name(state: str, interval: ClockInterval) -> str:
 
 
 class TickView:
-    """The tick abstraction of a timed machine, computed on demand.
+    """The tick abstraction of a timed machine, read without building it.
 
     Its configurations ``(state, k)``, with ``k`` the clock region
     (:attr:`ClockInterval.region`), stand for the states of the
     :class:`~tfsm.core.MealyMachine` that :func:`abstract` builds.  Read it
     with :meth:`tick`, :meth:`stretch` and :meth:`lasso`; :meth:`moves`
-    joins the first two.
+    joins the first two.  Its tables are built with the view; walks only read them.
     """
 
     def __init__(self, machine: TimedMachine):
@@ -130,6 +131,16 @@ class TickView:
         self.inputs = machine.inputs + (TICK,)
         self.outputs = machine.outputs + (TICK,)
         self._stretches = {}
+        for state in machine.states:
+            entry = machine.guard_index().get(state, {})
+            found = {inf, 2 * (machine.timeouts[state].bound or inf)}
+            for starts, ends, _ in entry.values():
+                found.update(starts, (e + 1 for e in ends))
+            breaks = sorted(found)
+            self._stretches[state] = breaks, [
+                {i: (t.output, (t.target, 0)) for i, guards in entry.items() if (t := _covering(guards, k))}
+                for k in (0, *breaks[:-1])
+            ]
 
     def tick(self, config, d=1):
         """The configuration ``d`` ticks on from ``config``, within its :meth:`stretch`; None if inadmissible."""
@@ -147,23 +158,11 @@ class TickView:
 
         At a breakpoint a guard starts or ends, or the timeout fires (region ``2 * bound``).
         Each state keeps its breakpoints, closed by ``inf`` (an inadmissible ``d``), and
-        one edge dict per stretch in guard-index order, filled on first use and shared: read only.
+        one edge dict per stretch in guard-index order, shared: read only.
         """
-        state, k = config
-        if state not in self._stretches:
-            entry = self.machine.guard_index().get(state, {})
-            found = {inf, 2 * (self.machine.timeouts[state].bound or inf)}
-            for starts, ends, _ in entry.values():
-                found.update(starts, (e + 1 for e in ends))
-            self._stretches[state] = (sorted(found), [None] * len(found), entry)
-        breaks, edges, entry = self._stretches[state]
-        j = bisect_right(breaks, k)
-        if edges[j] is None:
-            edges[j] = {}
-            for i, guards in entry.items():
-                if (t := _covering(guards, k)) is not None:
-                    edges[j][i] = (t.output, (t.target, 0))
-        return breaks[j] - k, edges[j]
+        breaks, edges = self._stretches[config[0]]
+        j = bisect_right(breaks, config[1])
+        return breaks[j] - config[1], edges[j]
 
     def moves(self, config):
         """``(symbol, (output, successor))`` per move: the tick first, then inputs in guard-index order."""

@@ -179,18 +179,6 @@ class TimedMachine:
             )
 
         object.__setattr__(self, "transitions", tuple(sorted(self.transitions, key=key)))
-
-    def guard_index(self) -> dict:
-        """The guards of each (state, input) as clock-region ranges, built on first use.
-
-        ``index[state][input]`` is ``(starts, ends, transitions)`` in
-        transition order: the k-th guard covers the regions
-        ``starts[k]`` to ``ends[k]`` of its :attr:`Guard.regions`.
-        """
-        try:
-            return self._guard_index
-        except AttributeError:
-            pass
         index = {}
         for t in self.transitions:
             starts, ends, group = index.setdefault(t.source, {}).setdefault(t.input, ([], [], []))
@@ -199,17 +187,15 @@ class TimedMachine:
             ends.append(last)
             group.append(t)
         object.__setattr__(self, "_guard_index", index)
-        return index
 
-    def enabled(self, state: str, symbol: str, region: int) -> "Transition | None":
-        """The transition on ``symbol`` whose guard covers clock region ``region``.
+    def guard_index(self) -> dict:
+        """The guards of each (state, input) as clock-region ranges, built with the machine.
 
-        Found by bisection in :meth:`guard_index`.  The answer is the one
-        enabled transition only for a machine that passes
-        :func:`validate_tfsm`, whose guards per (state, input) are disjoint.
+        ``index[state][input]`` is ``(starts, ends, transitions)`` in
+        transition order: the k-th guard covers the regions
+        ``starts[k]`` to ``ends[k]`` of its :attr:`Guard.regions`.
         """
-        entry = self.guard_index().get(state, {}).get(symbol)
-        return None if entry is None else _covering(entry, region)
+        return self._guard_index
 
 
 def _covering(entry, region: int) -> "Transition | None":

@@ -48,20 +48,19 @@ class _TickChain:
 
     A configuration is a state and each :meth:`stretch` is one region long,
     so :meth:`tick` (``d`` is always 1) moves on to the next state; the
-    walk's timeout target is the state its last tick enters.
+    walk's timeout target is the state its last tick enters.  Each state's
+    user-input edges are built with the chain; only :meth:`lasso` keeps a
+    cache, for the last start asked.
     """
 
     def __init__(self, fsm: MealyMachine):
-        self.inputs, self.edges = fsm.user_inputs, fsm.transitions
-        self._lasso, self._moves = (None, None), {}
+        self.edges, self._lasso = fsm.transitions, (None, None)
+        self._moves = {s: {i: e for i in fsm.user_inputs if (e := self.edges.get((s, i)))} for s in fsm.states}
 
     def tick(self, state, d=1):
         return self.edges[(state, TICK)][1]
 
     def stretch(self, state):
-        if state not in self._moves:
-            edges = ((i, self.edges.get((state, i))) for i in self.inputs)
-            self._moves[state] = {i: edge for i, edge in edges if edge}
         return 1, self._moves[state]
 
     def lasso(self, start):

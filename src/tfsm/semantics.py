@@ -18,7 +18,7 @@ abstraction.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import MealyMachine, TimedMachine, TimedState, TimedWord, TICK
+from .core import MealyMachine, TimedMachine, TimedState, TimedWord, TICK, _covering
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ def step(machine: TimedMachine, config: TimedState, symbol: str):
     machine must pass :func:`~tfsm.core.validate_tfsm`: with overlapping
     guards the one found need not be the first that admits the clock.
     """
-    t = machine.enabled(config.state, symbol, tick_encode_delay(config.clock))
-    if t is None:
+    entry = machine.guard_index().get(config.state, {}).get(symbol)
+    if entry is None or (t := _covering(entry, tick_encode_delay(config.clock))) is None:
         return None
     return t.output, TimedState(t.target, Fraction(0))
 

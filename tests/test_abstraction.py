@@ -51,6 +51,15 @@ class TestClockIntervals:
         shuffled = list(reversed(interval_set(2)))
         assert tuple(sorted(shuffled)) == interval_set(2)
 
+    def test_exactly_one_of_less_equal_greater_holds(self):
+        # open(n) and tail(n) share region 2n + 1; the order must still be total.
+        intervals = [*interval_set(3), ClockInterval.open(3), ClockInterval.point(5), ClockInterval.tail(1)]
+        for a in intervals:
+            for b in intervals:
+                assert [a < b, a == b, b < a].count(True) == 1, (a, b)
+                assert (a > b, a >= b, a <= b) == (b < a, not a < b, not b < a), (a, b)
+        assert sorted([ClockInterval.tail(3), ClockInterval.open(3)]) == [ClockInterval.open(3), ClockInterval.tail(3)]
+
     def test_ill_formed_intervals_are_rejected(self):
         with pytest.raises(ValueError, match="unknown interval kind 'bogus'"):
             ClockInterval("bogus", 0)

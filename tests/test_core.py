@@ -1,6 +1,8 @@
 """Domain types: guards, timeouts, words, machines, structural validation."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -278,3 +280,20 @@ class TestMealyValidation:
     def test_transition_from_unknown_state_reported(self):
         m = MealyMachine(("a",), ("i",), ("o",), "a", {("a", "i"): ("o", "a"), ("z", "i"): ("o", "a")})
         assert validate_fsm(m) == ["transition from unknown state 'z'"]
+
+
+def _setattr_calls(node) -> list:
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call) and ast.unparse(n.func) == "object.__setattr__"]
+
+
+def test_frozen_objects_are_built_whole():
+    """Every ``object.__setattr__`` sits in a ``__post_init__``: nothing is set on a frozen object after it is built."""
+    inside = 0
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "tfsm").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        built = {id(call) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                 for call in _setattr_calls(f)}
+        late = [f"{path.name}:{call.lineno}" for call in _setattr_calls(tree) if id(call) not in built]
+        assert late == []
+        inside += len(built)
+    assert inside > 0

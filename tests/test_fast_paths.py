@@ -2,12 +2,13 @@
 
 ``step`` finds a guard by bisection in the machine's index of clock
 regions, the tick view reads its input moves off that index once per
-stretch, from one breakpoint to the next, ``refine`` walks only the
-states its result reaches, with the delay walk of ``tfsm_intersect`` run
-over a machine's tick chain against itself, whose runs come out merged,
-``minimize`` refines partitions by Hopcroft's algorithm, ``abstract``,
-``tfsm_equivalent`` and ``check_bisimulation`` read the tick abstraction on
-integer clock regions, the first two without building it,
+stretch, when the view is built, from one breakpoint to the next,
+``refine`` walks only the states its result reaches, with the delay walk
+of ``tfsm_intersect`` run over a machine's tick chain against itself,
+whose runs come out merged, ``minimize`` refines partitions by Hopcroft's
+algorithm, ``abstract``, ``tfsm_equivalent`` and ``check_bisimulation``
+read the tick abstraction on integer clock regions, the first two
+without building it,
 ``tfsm_equivalent`` decides and spells a shortest separating word by one
 walk from breakpoint to breakpoint, ``tfsm_intersect``
 walks only the pairs its result keeps, from breakpoint to breakpoint, each
@@ -1654,6 +1655,8 @@ def test_chain_lasso_matches_the_tick_by_tick_loop():
             states, mu = tick_chain(chain, s)
             lam = len(states) - mu
             assert chain.lasso(s) == (mu, lam), f"{fsm}\n{s}"
+            moves = {i: edge for (r, i), edge in fsm.transitions.items() if r == s and i != TICK}
+            assert chain.stretch(s) == (1, moves), f"{fsm}\n{s}"
             starts += 1
             tails += lam == 1
     # Both self-ticking tails and longer cycles must occur.
